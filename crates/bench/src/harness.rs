@@ -20,6 +20,7 @@ pub mod fig5;
 pub mod fig8;
 pub mod scaling;
 pub mod seven;
+pub mod simnet_sweep;
 pub mod switch_bench;
 pub mod tree_exp;
 pub mod util;

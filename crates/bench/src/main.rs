@@ -8,13 +8,13 @@
 //! repro quick            # one fast experiment per family
 //! ```
 //!
-//! Experiments: `fig5 switch coding fig6a fig6b fig6c fig6d fig7a fig7b
+//! Experiments: `fig5 switch simnet coding fig6a fig6b fig6c fig6d fig7a fig7b
 //! fig8 table3 fig9 fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18
 //! fig19 footprint`.
 
 use ioverlay_bench::{
-    ablation, coding_bench, extensions, federation_exp, fig5, fig8, scaling, seven, switch_bench,
-    tree_exp,
+    ablation, coding_bench, extensions, federation_exp, fig5, fig8, scaling, seven, simnet_sweep,
+    switch_bench, tree_exp,
 };
 
 fn run_one(id: &str) -> bool {
@@ -29,6 +29,9 @@ fn run_one(id: &str) -> bool {
         "switch-quick" => switch_bench::run(1, &[100, 1_000]),
         // Telemetry-overhead gate only: skips the link-scaling sweep.
         "switch-overhead" => switch_bench::run(1, &[]),
+        "simnet" => simnet_sweep::run(&simnet_sweep::SIZES),
+        // Without the 65 536-node point (half a minute and 1 GB).
+        "simnet-quick" => simnet_sweep::run(&simnet_sweep::SIZES[..4]),
         "coding" => coding_bench::run(3),
         "coding-quick" => coding_bench::run(1),
         "fig6a" => seven::fig6a(),
@@ -104,7 +107,7 @@ fn run_one(id: &str) -> bool {
 }
 
 const ALL: &[&str] = &[
-    "fig5", "switch", "coding", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b", "fig8", "table3", "fig9",
+    "fig5", "switch", "simnet", "coding", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b", "fig8", "table3", "fig9",
     "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "footprint",
     "ablation-buffers", "ablation-gossip", "ablation-detect", "ablation-wrr",
     "ext-dht", "ext-churn",
@@ -127,6 +130,15 @@ fn main() {
     if args.first().map(String::as_str) == Some("scale-loadgen") {
         if !scaling::run_loadgen(&args[1..]) {
             eprintln!("usage: repro scale-loadgen <addr> <links> <msg_bytes>");
+            std::process::exit(2);
+        }
+        return;
+    }
+    // Child-process mode for the simulator sweep (internal; see
+    // `simnet_sweep::point_in_child`).
+    if args.first().map(String::as_str) == Some("simnet-point") {
+        if !simnet_sweep::run_point_cli(&args[1..]) {
+            eprintln!("usage: repro simnet-point <nodes>");
             std::process::exit(2);
         }
         return;

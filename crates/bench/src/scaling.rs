@@ -77,14 +77,10 @@ pub struct ScalePoint {
 fn proc_status() -> (u64, u64) {
     for _ in 0..3 {
         if let Ok(text) = std::fs::read_to_string("/proc/self/status") {
-            let field = |key: &str| -> u64 {
-                text.lines()
-                    .find(|l| l.starts_with(key))
-                    .and_then(|l| l.split_whitespace().nth(1))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0)
-            };
-            let out = (field("Threads:"), field("VmRSS:"));
+            let out = (
+                crate::util::status_field(&text, "Threads:"),
+                crate::util::status_field(&text, "VmRSS:"),
+            );
             if out.0 > 0 {
                 return out;
             }

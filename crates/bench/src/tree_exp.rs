@@ -1,7 +1,10 @@
 //! Table 3, Fig. 9, Fig. 11, Fig. 12, Fig. 13 — tree construction.
 
+use std::net::Ipv4Addr;
+
 use ioverlay::algorithms::tree::{JoinPayload, TreeNode, TreeVariant};
-use ioverlay::api::{Msg, MsgType, NodeId};
+use ioverlay::algorithms::{SinkApp, SourceApp, SourceMode, StaticForwarder};
+use ioverlay::api::{Algorithm, Msg, MsgType, NodeId};
 use ioverlay::observer::commands;
 use ioverlay::observer::dot::tree_to_dot;
 use ioverlay::simnet::{NodeBandwidth, Rate, Sim, SimBuilder};
@@ -193,6 +196,54 @@ pub fn wide_area(variant: TreeVariant, receivers: usize, seed: u64) -> (Sim, Nod
     let settle = (2 + 2 * receivers as u64) * SEC + 60 * SEC;
     sim.run_until(settle);
     (sim, source, members)
+}
+
+/// Fanout of [`static_tree`].
+const STATIC_FANOUT: usize = 4;
+/// Payload bytes of the messages [`static_tree`]'s source emits.
+pub const STATIC_MSG_BYTES: usize = 1024;
+
+/// Address of node `i` of a [`static_tree`]. Trees grow past the 65 535
+/// ports of one address, so the index goes into the IP.
+pub fn static_node(i: usize) -> NodeId {
+    NodeId::new(Ipv4Addr::from(0x0A00_0000 + i as u32), 9000)
+}
+
+/// Children of node `i` in a [`static_tree`] of `nodes` nodes.
+pub fn static_children(i: usize, nodes: usize) -> Vec<NodeId> {
+    (STATIC_FANOUT * i + 1..=STATIC_FANOUT * i + STATIC_FANOUT)
+        .filter(|&c| c < nodes)
+        .map(static_node)
+        .collect()
+}
+
+/// Builds a static 4-ary forwarding tree — the topology of the
+/// repository benchmark's `sim_tree` workload, at any size: node 0 a
+/// back-to-back source of 1 KiB messages limited to 400 KBps, inner
+/// nodes `StaticForwarder`s, leaves `SinkApp`s, 20 ms links, buffers of
+/// 16. Children are added before their parents so the source's first
+/// messages find their destinations.
+pub fn static_tree(seed: u64, nodes: usize) -> Sim {
+    let mut sim = SimBuilder::new(seed).buffer_msgs(16).latency_ms(20).build();
+    for i in (0..nodes).rev() {
+        let kids = static_children(i, nodes);
+        let (bandwidth, alg): (NodeBandwidth, Box<dyn Algorithm>) = if i == 0 {
+            let source = SourceApp::new(APP, kids, STATIC_MSG_BYTES, SourceMode::BackToBack);
+            (
+                NodeBandwidth::total_only(Rate::kbps(400)),
+                Box::new(source.deployed()),
+            )
+        } else if kids.is_empty() {
+            (NodeBandwidth::unlimited(), Box::new(SinkApp::new()))
+        } else {
+            (
+                NodeBandwidth::unlimited(),
+                Box::new(StaticForwarder::new().route(APP, kids)),
+            )
+        };
+        sim.add_node(static_node(i), bandwidth, alg);
+    }
+    sim
 }
 
 /// Fig. 11: 81-node end-to-end throughput and node-stress CDF.

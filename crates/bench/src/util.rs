@@ -38,6 +38,17 @@ pub fn uniform(seed: u64, index: u64, lo: f64, hi: f64) -> f64 {
     lo + unit * (hi - lo)
 }
 
+/// The numeric value of field `key` (for example `"VmRSS:"`) in the text
+/// of `/proc/self/status`; 0 if the field is missing.
+pub fn status_field(status: &str, key: &str) -> u64 {
+    status
+        .lines()
+        .find(|l| l.starts_with(key))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
+}
+
 /// Cumulative distribution: for each threshold, the fraction of samples
 /// at or below it.
 pub fn cdf(samples: &[f64], thresholds: &[f64]) -> Vec<f64> {
@@ -71,6 +82,14 @@ mod tests {
         let out = cdf(&samples, &[0.0, 2.0, 5.0]);
         assert_eq!(out, vec![0.0, 0.5, 1.0]);
         assert_eq!(cdf(&[], &[1.0]), vec![0.0]);
+    }
+
+    #[test]
+    fn status_fields_parse() {
+        let text = "Name:\trepro\nVmHWM:\t  2048 kB\nVmRSS:\t  1024 kB\nThreads:\t3\n";
+        assert_eq!(status_field(text, "VmRSS:"), 1024);
+        assert_eq!(status_field(text, "Threads:"), 3);
+        assert_eq!(status_field(text, "VmSwap:"), 0);
     }
 
     #[test]

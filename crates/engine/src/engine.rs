@@ -462,6 +462,12 @@ impl EngineState {
             keys.rotate_left(shift);
             self.retry_rotor = self.retry_rotor.wrapping_add(1);
         }
+        // Destinations that refused a message in this pass. A sender
+        // thread may free a slot at any moment; trying a later message
+        // for the same destination after an earlier one was parked again
+        // would let it overtake, so the rest of the pass parks them
+        // untried.
+        let mut refused: Vec<NodeId> = Vec::new();
         for up in keys {
             let Some(sends) = self.blocked.remove(&up) else {
                 continue;
@@ -469,7 +475,10 @@ impl EngineState {
             let total = sends.len();
             let mut still = Vec::new();
             for (msg, dest) in sends {
-                if !self.enqueue_send(dest, msg.clone(), Some(up)) {
+                if refused.contains(&dest) {
+                    still.push((msg, dest));
+                } else if !self.enqueue_send(dest, msg.clone(), Some(up)) {
+                    refused.push(dest);
                     still.push((msg, dest));
                 }
             }

@@ -227,6 +227,70 @@ impl BucketChain {
     }
 }
 
+/// Handle of a bucket inside a [`BucketSet`]. The default handle names
+/// the first bucket inserted; it exists so arrays of handles can be
+/// initialised before they are filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct BucketId(u32);
+
+/// Buckets owned by one single-threaded user and addressed by index.
+///
+/// The simulator shares per-node buckets between all of a node's links
+/// exactly as the engine does, but runs on one thread: it keeps every
+/// bucket here and gives each link a chain of [`BucketId`]s, so a
+/// transmission costs no lock and no reference count.
+/// [`BucketSet::reserve`] over a chain returns what
+/// [`BucketChain::reserve`] returns over the same buckets.
+///
+/// # Example
+///
+/// ```
+/// use ioverlay_ratelimit::{BucketSet, Rate, TokenBucket};
+///
+/// let mut set = BucketSet::new();
+/// let per_node = set.insert(TokenBucket::new(Rate::kbps(400), 0));
+/// let per_link = set.insert(TokenBucket::new(Rate::kbps(30), 0));
+/// assert_eq!(set.reserve(&[per_node, per_link], 5 * 1024, 0), 0);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct BucketSet {
+    buckets: Vec<TokenBucket>,
+}
+
+impl BucketSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a bucket and returns its handle.
+    pub fn insert(&mut self, bucket: TokenBucket) -> BucketId {
+        let id = u32::try_from(self.buckets.len()).expect("fewer than 2^32 buckets");
+        self.buckets.push(bucket);
+        BucketId(id)
+    }
+
+    /// The bucket behind `id`.
+    pub fn get(&self, id: BucketId) -> &TokenBucket {
+        &self.buckets[id.0 as usize]
+    }
+
+    /// The bucket behind `id`, for retuning or replacing.
+    pub fn get_mut(&mut self, id: BucketId) -> &mut TokenBucket {
+        &mut self.buckets[id.0 as usize]
+    }
+
+    /// Reserves `bytes` from every bucket of `chain`; returns the maximum
+    /// delay (0 for an empty chain).
+    pub fn reserve(&mut self, chain: &[BucketId], bytes: u64, now: Nanos) -> Nanos {
+        chain
+            .iter()
+            .map(|&id| self.get_mut(id).reserve(bytes, now))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,6 +402,19 @@ mod tests {
         assert_eq!(d2, SEC);
         assert_eq!(d3, SEC * 3 / 2);
         assert_eq!(d4, SEC * 2);
+    }
+
+    #[test]
+    fn bucket_set_shares_a_bucket_between_chains() {
+        // `shared_bucket_couples_two_links`, without the locks.
+        let mut set = BucketSet::new();
+        let node = set.insert(TokenBucket::with_burst(Rate::bytes_per_sec(2_000), 0, 0));
+        let link = set.insert(TokenBucket::with_burst(Rate::bytes_per_sec(10_000), 0, 0));
+        assert_eq!(set.reserve(&[node, link], 1_000, 0), SEC / 2);
+        assert_eq!(set.reserve(&[node], 1_000, 0), SEC);
+        set.get_mut(node).set_rate(Rate::bytes_per_sec(4_000), 0);
+        assert_eq!(set.get(node).rate(), Rate::bytes_per_sec(4_000));
+        assert_eq!(set.reserve(&[], u64::MAX / 2, 0), 0);
     }
 
     #[test]

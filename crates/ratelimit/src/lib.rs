@@ -14,6 +14,8 @@
 //!   event scheduling (the simulator);
 //! * [`BucketChain`] — several buckets applied to one transmission (for
 //!   example per-link *and* per-node-uplink *and* per-node-total);
+//! * [`BucketSet`] — the same chains for a single-threaded owner (the
+//!   simulator): buckets in one `Vec`, chains of indices, no locks;
 //! * [`NodeBandwidth`] — a node's emulated profile (total / up / down),
 //!   settable at start-up or retuned at runtime from the observer;
 //! * [`ThroughputMeter`] — windowed throughput measurement, used both
@@ -45,7 +47,7 @@ mod clock;
 mod meter;
 mod profile;
 
-pub use bucket::{BucketChain, Rate, SharedBucket, TokenBucket};
+pub use bucket::{BucketChain, BucketId, BucketSet, Rate, SharedBucket, TokenBucket};
 pub use clock::{Clock, Nanos, SystemClock, VirtualClock, NANOS_PER_SEC};
 pub use meter::ThroughputMeter;
 pub use profile::NodeBandwidth;

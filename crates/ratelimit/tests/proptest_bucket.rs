@@ -1,6 +1,8 @@
 //! Property-based tests: token-bucket conformance.
 
-use ioverlay_ratelimit::{Rate, ThroughputMeter, TokenBucket, NANOS_PER_SEC};
+use ioverlay_ratelimit::{
+    BucketChain, BucketSet, Rate, ThroughputMeter, TokenBucket, NANOS_PER_SEC,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -48,6 +50,57 @@ proptest! {
             now += rate.transmission_delay(bytes);
             let delay = bucket.reserve(bytes, now);
             prop_assert!(delay <= 1_000, "paced send delayed by {delay}ns");
+        }
+    }
+
+    /// An unlocked bucket set returns, reservation for reservation, the
+    /// delays of locked chains over the same buckets — also when chains
+    /// share buckets, overlap only partly, and a bucket is retuned in
+    /// between.
+    #[test]
+    fn bucket_set_delays_equal_bucket_chain_delays(
+        rates in proptest::collection::vec((1_000u64..2_000_000, 0u64..20_000), 1..6),
+        picks in proptest::collection::vec(0usize..64, 1..5),
+        ops in proptest::collection::vec((0usize..8, 1u64..20_000, 0u64..30_000_000, 0u8..10), 1..120),
+    ) {
+        let buckets: Vec<TokenBucket> = rates
+            .iter()
+            .map(|&(rate, burst)| TokenBucket::with_burst(Rate::bytes_per_sec(rate), burst, 0))
+            .collect();
+        let shared: Vec<_> = buckets.iter().cloned().map(BucketChain::shared).collect();
+        let mut set = BucketSet::new();
+        let ids: Vec<_> = buckets.into_iter().map(|b| set.insert(b)).collect();
+        // Each pick is a bit mask over the buckets: one chain per pick.
+        let members = |mask: usize| (0..ids.len()).filter(move |i| mask >> i & 1 == 1);
+        let chains: Vec<BucketChain> = picks
+            .iter()
+            .map(|&mask| {
+                let mut chain = BucketChain::new();
+                for i in members(mask) {
+                    chain.push(shared[i].clone());
+                }
+                chain
+            })
+            .collect();
+        let id_chains: Vec<Vec<_>> = picks
+            .iter()
+            .map(|&mask| members(mask).map(|i| ids[i]).collect())
+            .collect();
+        let mut now = 0u64;
+        for (which, bytes, gap, retune) in ops {
+            now += gap;
+            if retune == 0 {
+                let i = which % ids.len();
+                let rate = Rate::bytes_per_sec(bytes * 50);
+                shared[i].lock().set_rate(rate, now);
+                set.get_mut(ids[i]).set_rate(rate, now);
+            }
+            let c = which % chains.len();
+            prop_assert_eq!(
+                set.reserve(&id_chains[c], bytes, now),
+                chains[c].reserve(bytes, now),
+                "chain {} at {}", c, now
+            );
         }
     }
 

@@ -28,6 +28,29 @@
 //! same implementations also run on the real TCP engine
 //! (`ioverlay-engine`).
 //!
+//! # Inside
+//!
+//! Nodes, directed links and token buckets live in arenas addressed by
+//! dense indices; a `NodeId` is translated once, where it enters (a
+//! public call, a destination an algorithm names for the first time,
+//! the creation of a link), never per event. A link is one record per
+//! ordered node pair holding the sender's and the receiver's half; each
+//! node lists its links sorted by the peer's `NodeId`, because
+//! round-robin ties, retry rotation and every report walk neighbours in
+//! address order. Events carry indices only, and the events scheduled
+//! for the current instant — two of every three — bypass the heap
+//! through a FIFO without changing the `(time, sequence)` order. The
+//! same scenario replays the same events in the same order, bit for
+//! bit; `tests/sim_golden.rs` at the repository root pins six scenarios
+//! to digests recorded before this layout existed.
+//!
+//! On a 4096-node forwarding tree one hop message (one message across
+//! one link) costs about 0.9 µs of host time and a built node about
+//! 3.2 kB; the per-link and per-application throughput meters add
+//! 16 bytes per message inside their window on top (`BENCH_simnet.json`
+//! has the figures from 64 to 65 536 nodes). DESIGN.md §14 describes the
+//! layout and its ordering rules.
+//!
 //! # Example
 //!
 //! ```
@@ -60,6 +83,7 @@
 #![warn(missing_docs)]
 
 mod event;
+mod index;
 mod link;
 mod metrics;
 mod node;

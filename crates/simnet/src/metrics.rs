@@ -1,10 +1,10 @@
 //! Simulation metrics: link throughput, per-app reception, control
 //! overhead, and loss accounting.
 
-use std::collections::HashMap;
-
 use ioverlay_api::{AppId, MsgType, Nanos, NodeId};
 use ioverlay_ratelimit::ThroughputMeter;
+
+use crate::index::{Directory, LinkIdx, NodeIdx};
 
 /// Per-directed-link delivery statistics.
 #[derive(Debug, Clone)]
@@ -47,12 +47,21 @@ struct RecvStats {
 /// observer sees: per-link throughput (the numbers on the edges of
 /// Fig. 6–8), per-receiver application goodput (Fig. 9, 11, 19), control
 /// message overhead by type over time (Fig. 15–18), and loss counters.
+///
+/// Statistics are stored by index — a link's under its `LinkIdx`, a
+/// node's under its `NodeIdx` — so recording costs no hashing; the
+/// address-taking queries below translate through the simulation's
+/// [`Directory`], which lives here because they need it.
 #[derive(Debug)]
 pub struct Metrics {
     window: Nanos,
-    links: HashMap<(NodeId, NodeId), LinkStats>,
-    received: HashMap<(NodeId, AppId), RecvStats>,
-    sent_by_type: HashMap<(NodeId, MsgType), u64>,
+    pub(crate) dir: Directory,
+    /// One entry per link record, created with it.
+    links: Vec<LinkStats>,
+    /// Per node, one entry per application it received data for.
+    received: Vec<Vec<(AppId, RecvStats)>>,
+    /// Per node, bytes sent per message type.
+    sent_by_type: Vec<Vec<(MsgType, u64)>>,
     /// Time-ordered control transmissions: (time, sender, type, bytes).
     control_log: Vec<(Nanos, NodeId, MsgType, u64)>,
     lost_total: u64,
@@ -62,25 +71,31 @@ impl Metrics {
     pub(crate) fn new(window: Nanos) -> Self {
         Self {
             window,
-            links: HashMap::new(),
-            received: HashMap::new(),
-            sent_by_type: HashMap::new(),
+            dir: Directory::default(),
+            links: Vec::new(),
+            received: Vec::new(),
+            sent_by_type: Vec::new(),
             control_log: Vec::new(),
             lost_total: 0,
         }
     }
 
-    pub(crate) fn record_link_delivery(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        now: Nanos,
-    ) {
-        let stats = self
-            .links
-            .entry((from, to))
-            .or_insert_with(|| LinkStats::new(self.window));
+    /// Registers a node; its index addresses the per-node statistics.
+    pub(crate) fn add_node(&mut self, id: NodeId) -> NodeIdx {
+        let idx = self.dir.add_node(id);
+        self.received.push(Vec::new());
+        self.sent_by_type.push(Vec::new());
+        idx
+    }
+
+    /// Registers a directed link; its index addresses its statistics.
+    pub(crate) fn add_link(&mut self, from: NodeIdx, to: NodeIdx) -> LinkIdx {
+        self.links.push(LinkStats::new(self.window));
+        self.dir.add_link(from, to)
+    }
+
+    pub(crate) fn record_link_delivery(&mut self, link: LinkIdx, bytes: u64, now: Nanos) {
+        let stats = &mut self.links[link.ix()];
         stats.meter.record(bytes, now);
         stats.delivered_bytes += bytes;
         stats.delivered_msgs += 1;
@@ -88,96 +103,130 @@ impl Metrics {
 
     pub(crate) fn record_data_received(
         &mut self,
-        node: NodeId,
+        node: NodeIdx,
         app: AppId,
         bytes: u64,
         now: Nanos,
     ) {
-        let window = self.window;
-        let stats = self
-            .received
-            .entry((node, app))
-            .or_insert_with(|| RecvStats {
-                meter: ThroughputMeter::new(window),
-                bytes: 0,
-                msgs: 0,
-            });
+        let apps = &mut self.received[node.ix()];
+        let pos = apps.iter().position(|(a, _)| *a == app).unwrap_or_else(|| {
+            let meter = ThroughputMeter::new(self.window);
+            apps.push((
+                app,
+                RecvStats {
+                    meter,
+                    bytes: 0,
+                    msgs: 0,
+                },
+            ));
+            apps.len() - 1
+        });
+        let stats = &mut apps[pos].1;
         stats.meter.record(bytes, now);
         stats.bytes += bytes;
         stats.msgs += 1;
     }
 
-    pub(crate) fn record_sent(&mut self, node: NodeId, ty: MsgType, bytes: u64, now: Nanos) {
-        *self.sent_by_type.entry((node, ty)).or_insert(0) += bytes;
+    pub(crate) fn record_sent(&mut self, node: NodeIdx, ty: MsgType, bytes: u64, now: Nanos) {
+        let types = &mut self.sent_by_type[node.ix()];
+        match types.iter_mut().find(|(t, _)| *t == ty) {
+            Some((_, total)) => *total += bytes,
+            None => types.push((ty, bytes)),
+        }
         if ty != MsgType::Data {
-            self.control_log.push((now, node, ty, bytes));
+            self.control_log.push((now, self.dir.id(node), ty, bytes));
         }
     }
 
-    pub(crate) fn record_lost(&mut self, from: NodeId, to: NodeId, msgs: u64) {
+    /// Counts `msgs` lost messages, against `link` when the pair ever
+    /// had a record (a send to an address that is not a node has none).
+    pub(crate) fn record_lost(&mut self, link: Option<LinkIdx>, msgs: u64) {
         self.lost_total += msgs;
-        let stats = self
-            .links
-            .entry((from, to))
-            .or_insert_with(|| LinkStats::new(self.window));
-        stats.lost_msgs += msgs;
+        if let Some(link) = link {
+            self.links[link.ix()].lost_msgs += msgs;
+        }
+    }
+
+    /// [`Metrics::link_kbps`] for a link already resolved.
+    pub(crate) fn link_kbps_at(&mut self, link: LinkIdx, now: Nanos) -> f64 {
+        self.links[link.ix()].kbps(now)
+    }
+
+    fn received_stats(&self, node: NodeId, app: AppId) -> Option<&RecvStats> {
+        let apps = &self.received[self.dir.node(node)?.ix()];
+        apps.iter().find(|(a, _)| *a == app).map(|(_, s)| s)
     }
 
     /// Windowed throughput of the directed link `from -> to` in KBps.
     ///
     /// Returns 0.0 for a link that never carried traffic.
     pub fn link_kbps(&mut self, from: NodeId, to: NodeId, now: Nanos) -> f64 {
-        self.links
-            .get_mut(&(from, to))
-            .map(|s| s.kbps(now))
-            .unwrap_or(0.0)
+        match self.dir.link_between(from, to) {
+            Some(link) => self.link_kbps_at(link, now),
+            None => 0.0,
+        }
     }
 
     /// Total bytes ever delivered on the directed link.
     pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.links
-            .get(&(from, to))
-            .map(|s| s.delivered_bytes)
+        self.dir
+            .link_between(from, to)
+            .map(|link| self.links[link.ix()].delivered_bytes)
             .unwrap_or(0)
     }
 
-    /// All links that ever carried traffic.
+    /// All links that ever carried traffic, in the order the links were
+    /// first created.
     pub fn active_links(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.links
             .iter()
+            .enumerate()
             .filter(|(_, s)| s.delivered_msgs > 0)
-            .map(|(&(a, b), _)| (a, b))
+            .map(|(i, _)| self.dir.ends(LinkIdx(i as u32)))
     }
 
     /// Windowed goodput of application `app` at `node`, in KBps.
     pub fn received_kbps(&mut self, node: NodeId, app: AppId, now: Nanos) -> f64 {
-        self.received
-            .get_mut(&(node, app))
-            .map(|s| s.meter.rate_kbps(now))
+        let Some(idx) = self.dir.node(node) else {
+            return 0.0;
+        };
+        self.received[idx.ix()]
+            .iter_mut()
+            .find(|(a, _)| *a == app)
+            .map(|(_, s)| s.meter.rate_kbps(now))
             .unwrap_or(0.0)
     }
 
     /// Total application bytes received by `node` for `app`.
     pub fn received_bytes(&self, node: NodeId, app: AppId) -> u64 {
-        self.received.get(&(node, app)).map(|s| s.bytes).unwrap_or(0)
+        self.received_stats(node, app).map(|s| s.bytes).unwrap_or(0)
     }
 
     /// Total application messages received by `node` for `app`.
     pub fn received_msgs(&self, node: NodeId, app: AppId) -> u64 {
-        self.received.get(&(node, app)).map(|s| s.msgs).unwrap_or(0)
+        self.received_stats(node, app).map(|s| s.msgs).unwrap_or(0)
+    }
+
+    fn sent_types(&self, node: NodeId) -> &[(MsgType, u64)] {
+        self.dir
+            .node(node)
+            .map_or(&[], |idx| self.sent_by_type[idx.ix()].as_slice())
     }
 
     /// Bytes of messages of `ty` sent by `node` (headers + payloads).
     pub fn sent_bytes(&self, node: NodeId, ty: MsgType) -> u64 {
-        self.sent_by_type.get(&(node, ty)).copied().unwrap_or(0)
+        self.sent_types(node)
+            .iter()
+            .find(|(t, _)| *t == ty)
+            .map_or(0, |(_, b)| *b)
     }
 
     /// Total control bytes (all non-`data` types) sent by `node`.
     pub fn control_bytes(&self, node: NodeId) -> u64 {
-        self.sent_by_type
+        self.sent_types(node)
             .iter()
-            .filter(|(&(n, ty), _)| n == node && ty != MsgType::Data)
-            .map(|(_, &b)| b)
+            .filter(|(ty, _)| *ty != MsgType::Data)
+            .map(|(_, b)| *b)
             .sum()
     }
 
@@ -203,51 +252,85 @@ mod tests {
 
     const SEC: Nanos = 1_000_000_000;
 
+    /// Metrics over nodes `1..=n` (indices `0..n`).
+    fn metrics(n: u16) -> Metrics {
+        let mut m = Metrics::new(SEC);
+        for port in 1..=n {
+            m.add_node(NodeId::loopback(port));
+        }
+        m
+    }
+
     #[test]
     fn link_accounting() {
-        let mut m = Metrics::new(SEC);
+        let mut m = metrics(2);
         let (a, b) = (NodeId::loopback(1), NodeId::loopback(2));
-        m.record_link_delivery(a, b, 1024, 0);
-        m.record_link_delivery(a, b, 1024, SEC / 2);
+        let ab = m.add_link(NodeIdx(0), NodeIdx(1));
+        m.record_link_delivery(ab, 1024, 0);
+        m.record_link_delivery(ab, 1024, SEC / 2);
         assert_eq!(m.link_bytes(a, b), 2048);
         assert!((m.link_kbps(a, b, SEC / 2) - 2.0).abs() < 0.01);
         assert_eq!(m.link_bytes(b, a), 0);
+        assert_eq!(m.link_kbps(b, a, SEC), 0.0);
+        assert_eq!(m.link_bytes(a, NodeId::loopback(9)), 0, "not a node");
         assert_eq!(m.active_links().count(), 1);
     }
 
     #[test]
+    fn active_links_come_in_creation_order() {
+        let mut m = metrics(3);
+        let n = NodeId::loopback;
+        let ca = m.add_link(NodeIdx(2), NodeIdx(0));
+        let idle = m.add_link(NodeIdx(1), NodeIdx(2));
+        let ab = m.add_link(NodeIdx(0), NodeIdx(1));
+        m.record_link_delivery(ab, 10, 0);
+        m.record_link_delivery(ca, 10, 1);
+        m.record_lost(Some(idle), 1);
+        let active: Vec<_> = m.active_links().collect();
+        assert_eq!(active, vec![(n(3), n(1)), (n(1), n(2))]);
+    }
+
+    #[test]
     fn reception_accounting() {
-        let mut m = Metrics::new(SEC);
+        let mut m = metrics(1);
         let n = NodeId::loopback(1);
-        m.record_data_received(n, 7, 100, 0);
-        m.record_data_received(n, 7, 100, 1);
-        m.record_data_received(n, 8, 50, 2);
+        m.record_data_received(NodeIdx(0), 7, 100, 0);
+        m.record_data_received(NodeIdx(0), 7, 100, 1);
+        m.record_data_received(NodeIdx(0), 8, 50, 2);
         assert_eq!(m.received_bytes(n, 7), 200);
         assert_eq!(m.received_msgs(n, 7), 2);
         assert_eq!(m.received_bytes(n, 8), 50);
         assert_eq!(m.received_bytes(NodeId::loopback(9), 7), 0);
+        assert_eq!(m.received_kbps(NodeId::loopback(9), 7, 0), 0.0);
+        assert!(m.received_kbps(n, 8, 2) > 0.0);
     }
 
     #[test]
     fn control_overhead_by_type_and_time() {
-        let mut m = Metrics::new(SEC);
+        let mut m = metrics(1);
         let n = NodeId::loopback(1);
-        m.record_sent(n, MsgType::SAware, 100, 0);
-        m.record_sent(n, MsgType::SAware, 100, 2 * SEC);
-        m.record_sent(n, MsgType::SFederate, 40, SEC);
-        m.record_sent(n, MsgType::Data, 5000, SEC);
+        m.record_sent(NodeIdx(0), MsgType::SAware, 100, 0);
+        m.record_sent(NodeIdx(0), MsgType::SAware, 100, 2 * SEC);
+        m.record_sent(NodeIdx(0), MsgType::SFederate, 40, SEC);
+        m.record_sent(NodeIdx(0), MsgType::Data, 5000, SEC);
         assert_eq!(m.sent_bytes(n, MsgType::SAware), 200);
         assert_eq!(m.control_bytes(n), 240, "data excluded from control");
+        assert_eq!(m.sent_bytes(NodeId::loopback(9), MsgType::Data), 0);
         assert_eq!(m.control_bytes_between(MsgType::SAware, 0, SEC), 100);
         assert_eq!(m.control_bytes_between(MsgType::SAware, 0, 3 * SEC), 200);
     }
 
     #[test]
     fn loss_accounting() {
-        let mut m = Metrics::new(SEC);
-        let (a, b) = (NodeId::loopback(1), NodeId::loopback(2));
-        m.record_lost(a, b, 3);
-        assert_eq!(m.lost_msgs(), 3);
-        assert_eq!(m.active_links().count(), 0, "lost-only links are not active");
+        let mut m = metrics(2);
+        let ab = m.add_link(NodeIdx(0), NodeIdx(1));
+        m.record_lost(Some(ab), 3);
+        m.record_lost(None, 1);
+        assert_eq!(m.lost_msgs(), 4);
+        assert_eq!(
+            m.active_links().count(),
+            0,
+            "lost-only links are not active"
+        );
     }
 }

@@ -1,62 +1,131 @@
 //! Simulated node state and the simulator's `Context` implementation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use ioverlay_api::{Algorithm, AppId, Context, Msg, Nanos, NodeId, TimerToken};
-use ioverlay_queue::WeightedRoundRobin;
-use ioverlay_ratelimit::{NodeBandwidth, SharedBucket};
+use ioverlay_ratelimit::{BucketId, NodeBandwidth};
 use ioverlay_telemetry::{NodeTelemetry, TelemetrySnapshot};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::index::LinkIdx;
 use crate::link::DirectedLink;
 
-/// A message queued for forwarding whose destination buffer was full —
-/// the paper's *"we label each message with its set of remaining
-/// senders, so that they may be tried in the next round"*.
-pub(crate) type BlockedSend = (Msg, NodeId);
+/// An entry of a node's incoming-link list: the link `peer -> node` and
+/// the switch's weighted-round-robin state for that upstream.
+///
+/// The scheduling state sits here and not in the link record because a
+/// selection walks every upstream of the node; the list keeps that walk
+/// inside one allocation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InLink {
+    pub peer: NodeId,
+    pub link: LinkIdx,
+    /// Whether the upstream takes part in the rotation. It does from its
+    /// first arrival (or from a `set_switch_weight`) until the peer is
+    /// torn down; a weight of zero parks it without taking it out.
+    pub in_wrr: bool,
+    pub weight: u32,
+    pub credit: i64,
+}
+
+/// An entry of a node's outgoing-link list: the link `node -> peer`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OutLink {
+    pub peer: NodeId,
+    pub link: LinkIdx,
+}
+
+/// Data-plane routing memory of one application at one node, used for
+/// the `BrokenSource` domino teardown: who feeds it, whom it feeds. Both
+/// lists are sorted, so the domino goes out in address order.
+#[derive(Debug)]
+pub(crate) struct AppRoute {
+    pub app: AppId,
+    pub ups: Vec<NodeId>,
+    pub downs: Vec<NodeId>,
+}
+
+/// Inserts into a sorted list unless present.
+fn insert_sorted(list: &mut Vec<NodeId>, id: NodeId) {
+    if let Err(pos) = list.binary_search(&id) {
+        list.insert(pos, id);
+    }
+}
+
+/// Removes from a sorted list; whether it was present.
+pub(crate) fn remove_sorted(list: &mut Vec<NodeId>, id: NodeId) -> bool {
+    match list.binary_search(&id) {
+        Ok(pos) => {
+            list.remove(pos);
+            true
+        }
+        Err(_) => false,
+    }
+}
 
 /// One virtualized overlay node inside the simulator.
+///
+/// Both link lists are kept **sorted by the peer's `NodeId`**, whatever
+/// order the links were created in: weighted-round-robin ties go to the
+/// smallest address, the blocked-fanout retry rotation, status reports,
+/// measurement reports and `upstreams_of` / `downstreams_of` all walk
+/// upstreams or downstreams in address order, and a run must not depend
+/// on the order nodes were added in.
+///
+/// # Layout
+///
+/// At a few thousand nodes the arena no longer fits a core's cache and
+/// every event finds its node cold, so the fields are laid out in the
+/// order the event handlers read them: an event that finds nothing to
+/// do touches one line of the node, a switched message two or three,
+/// and the telemetry registry (most of the struct) only where it
+/// records. Whether a node is alive is not here at all: `Sim::alive`
+/// keeps those flags together, so a sender can check its destination
+/// without touching the destination's node.
+#[repr(C, align(64))] // declaration order is layout order: see "Layout" above
 pub(crate) struct SimNode {
-    pub id: NodeId,
-    /// Taken out while the algorithm runs (the take-out/put-back pattern
-    /// that gives the algorithm `&mut self` and the context the rest of
-    /// the node).
-    pub alg: Option<Box<dyn Algorithm>>,
-    pub alive: bool,
-    /// Per-upstream receive buffers (one per receiver thread in the
-    /// engine).
-    pub recv_queues: BTreeMap<NodeId, VecDeque<Msg>>,
-    pub recv_cap: usize,
-    /// Service order over receive buffers.
-    pub wrr: WeightedRoundRobin<NodeId>,
-    /// Per-upstream blocked fanouts: while non-empty for an upstream, no
-    /// more messages are popped from that upstream's receive buffer.
-    pub blocked: BTreeMap<NodeId, Vec<BlockedSend>>,
-    /// Outgoing links keyed by downstream.
-    pub links: BTreeMap<NodeId, DirectedLink>,
+    // -- first cache line: what an idle `Process` event reads --
+    /// Links toward this node: every link whose sender half is open,
+    /// whose receive buffer exists, or whose upstream has a switch
+    /// weight. (One receive buffer per receiver thread in the engine.)
+    pub incoming: Vec<InLink>,
     /// Engine-internal deliveries (events, observer control); unbounded
     /// because they bypass the data path, like the paper's control
     /// messages on the publicized port.
     pub local_inbox: VecDeque<Msg>,
-    /// Emulated bandwidth buckets, shared by all of this node's links.
-    pub up_bucket: SharedBucket,
-    pub down_bucket: SharedBucket,
-    pub total_bucket: SharedBucket,
-    pub bandwidth: NodeBandwidth,
-    /// Data-plane routing memory per application, used for the
-    /// `BrokenSource` domino teardown.
-    pub app_upstreams: HashMap<AppId, BTreeSet<NodeId>>,
-    pub app_downstreams: HashMap<AppId, BTreeSet<NodeId>>,
-    pub observer: Option<NodeId>,
-    pub rng: StdRng,
+    /// How many incoming links hold blocked fanouts.
+    pub blocked_links: u32,
+    /// How many receive buffers hold messages.
+    pub ready_inputs: u32,
+    // -- second: switching a message and running the algorithm --
+    /// Capacity of each receive buffer and, for forwarded traffic, of
+    /// each send buffer.
+    pub recv_cap: usize,
     /// Total messages switched (popped from receive buffers).
     pub switched: u64,
+    /// Taken out while the algorithm runs, which gives the algorithm
+    /// `&mut self` and the context the rest of the node.
+    pub alg: Option<Box<dyn Algorithm>>,
+    /// Per-application routing memory, sorted by application.
+    pub routes: Vec<AppRoute>,
+    pub id: NodeId,
+    // -- third: sending --
+    /// Links from this node with an open sender half.
+    pub outgoing: Vec<OutLink>,
+    /// Emulated bandwidth buckets, shared by all of this node's links.
+    pub up_bucket: BucketId,
+    pub down_bucket: BucketId,
+    pub total_bucket: BucketId,
+    /// Locally originated data messages seen by the trace sampler.
+    pub trace_count: u64,
     /// Rotates the blocked-fanout retry order (fairness between
     /// upstreams competing for one freed sender slot).
     pub retry_rotor: u64,
-    /// Locally originated data messages seen by the trace sampler.
-    pub trace_count: u64,
+    // -- rarely read --
+    pub observer: Option<NodeId>,
+    pub bandwidth: NodeBandwidth,
+    pub rng: StdRng,
     /// Per-node telemetry registry, timestamped with the *virtual*
     /// clock so simulated runs export the same metrics shape as real
     /// engine nodes.
@@ -64,32 +133,147 @@ pub(crate) struct SimNode {
 }
 
 impl SimNode {
-    /// Depth of the receive buffer from `upstream`, if one exists.
-    pub(crate) fn recv_len(&self, upstream: NodeId) -> Option<usize> {
-        self.recv_queues.get(&upstream).map(|q| q.len())
+    /// Position of `peer` in the incoming list, or where it belongs.
+    pub(crate) fn in_pos(&self, peer: NodeId) -> Result<usize, usize> {
+        self.incoming.binary_search_by_key(&peer, |e| e.peer)
+    }
+
+    /// Position of `peer` in the outgoing list, or where it belongs.
+    pub(crate) fn out_pos(&self, peer: NodeId) -> Result<usize, usize> {
+        self.outgoing.binary_search_by_key(&peer, |e| e.peer)
+    }
+
+    /// The open link toward `peer`, if any.
+    pub(crate) fn out_link(&self, peer: NodeId) -> Option<LinkIdx> {
+        self.out_pos(peer).ok().map(|pos| self.outgoing[pos].link)
+    }
+
+    /// Position of the incoming entry for `link` from `peer`, added
+    /// (outside the rotation) if the list does not have it.
+    pub(crate) fn attach_incoming(&mut self, peer: NodeId, link: LinkIdx) -> usize {
+        match self.in_pos(peer) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let entry = InLink {
+                    peer,
+                    link,
+                    in_wrr: false,
+                    weight: 0,
+                    credit: 0,
+                };
+                self.incoming.insert(pos, entry);
+                pos
+            }
+        }
+    }
+
+    /// Enters the upstream at `pos` into the rotation or retunes its
+    /// weight; the credit of an upstream already in it is kept.
+    pub(crate) fn wrr_set_weight(&mut self, pos: usize, weight: u32) {
+        let entry = &mut self.incoming[pos];
+        if !entry.in_wrr {
+            entry.in_wrr = true;
+            entry.credit = 0;
+        }
+        entry.weight = weight;
+    }
+
+    /// Upstreams in the rotation, parked ones included.
+    pub(crate) fn wrr_len(&self) -> usize {
+        self.incoming.iter().filter(|e| e.in_wrr).count()
+    }
+
+    /// Selects the next upstream to service: smooth weighted round robin
+    /// (`ioverlay_queue::WeightedRoundRobin`, over the incoming list).
+    /// Every selection adds each upstream's weight to its credit, picks
+    /// the highest credit — the first in address order on a tie — and
+    /// charges the winner the total weight. `None` when no upstream has
+    /// a positive weight.
+    pub(crate) fn wrr_next(&mut self) -> Option<usize> {
+        let total: i64 = self
+            .incoming
+            .iter()
+            .filter(|e| e.in_wrr)
+            .map(|e| i64::from(e.weight))
+            .sum();
+        if total == 0 {
+            return None;
+        }
+        let mut best: Option<(usize, i64)> = None;
+        for (pos, entry) in self.incoming.iter_mut().enumerate() {
+            if !entry.in_wrr || entry.weight == 0 {
+                continue;
+            }
+            entry.credit += i64::from(entry.weight);
+            match best {
+                Some((_, credit)) if credit >= entry.credit => {}
+                _ => best = Some((pos, entry.credit)),
+            }
+        }
+        let (pos, _) = best?;
+        self.incoming[pos].credit -= total;
+        Some(pos)
     }
 
     /// Whether any receive buffer holds messages this node could switch
     /// right now: non-empty, not head-of-line blocked, and not parked by
     /// a zero WRR weight.
-    pub(crate) fn has_switchable_input(&self) -> bool {
-        self.recv_queues.iter().any(|(up, q)| {
-            !q.is_empty()
-                && !self.blocked.contains_key(up)
-                && self.wrr.weight(up).unwrap_or(0) > 0
+    pub(crate) fn has_switchable_input(&self, links: &[DirectedLink]) -> bool {
+        self.incoming.iter().any(|e| {
+            let link = &links[e.link.ix()];
+            link.rx_open
+                && !link.recv.is_empty()
+                && link.blocked.is_empty()
+                && e.in_wrr
+                && e.weight > 0
         })
+    }
+
+    fn route_mut(&mut self, app: AppId) -> &mut AppRoute {
+        let pos = match self.routes.binary_search_by_key(&app, |r| r.app) {
+            Ok(pos) => pos,
+            Err(pos) => {
+                let route = AppRoute {
+                    app,
+                    ups: Vec::new(),
+                    downs: Vec::new(),
+                };
+                self.routes.insert(pos, route);
+                pos
+            }
+        };
+        &mut self.routes[pos]
     }
 
     /// Registers where data for `app` comes from / goes to.
     pub(crate) fn note_app_upstream(&mut self, app: AppId, upstream: NodeId) {
-        self.app_upstreams.entry(app).or_default().insert(upstream);
+        insert_sorted(&mut self.route_mut(app).ups, upstream);
     }
 
     pub(crate) fn note_app_downstream(&mut self, app: AppId, downstream: NodeId) {
-        self.app_downstreams
-            .entry(app)
-            .or_default()
-            .insert(downstream);
+        insert_sorted(&mut self.route_mut(app).downs, downstream);
+    }
+
+    /// Forgets `upstream` as a feeder of `app`. If that leaves the
+    /// application without any, its downstreams are forgotten too and
+    /// returned: they are owed a `BrokenSource`.
+    pub(crate) fn drop_app_upstream(&mut self, app: AppId, upstream: NodeId) -> Vec<NodeId> {
+        let route = self.route_mut(app);
+        remove_sorted(&mut route.ups, upstream);
+        if route.ups.is_empty() {
+            std::mem::take(&mut route.downs)
+        } else {
+            Vec::new() // another upstream still feeds this app
+        }
+    }
+
+    /// Forgets whom `app` feeds and returns them: they are owed a
+    /// `BrokenSource`.
+    pub(crate) fn take_app_downstreams(&mut self, app: AppId) -> Vec<NodeId> {
+        match self.routes.binary_search_by_key(&app, |r| r.app) {
+            Ok(pos) => std::mem::take(&mut self.routes[pos].downs),
+            Err(_) => Vec::new(),
+        }
     }
 
     #[allow(clippy::too_many_arguments)] // node construction takes its full wiring
@@ -99,9 +283,9 @@ impl SimNode {
         alg: Box<dyn Algorithm>,
         recv_cap: usize,
         seed: u64,
-        up: SharedBucket,
-        down: SharedBucket,
-        total: SharedBucket,
+        up: BucketId,
+        down: BucketId,
+        total: BucketId,
     ) -> Self {
         // Derive the node RNG from the scenario seed and the node id so
         // results do not depend on insertion order.
@@ -110,19 +294,17 @@ impl SimNode {
         Self {
             id,
             alg: Some(alg),
-            alive: true,
-            recv_queues: BTreeMap::new(),
             recv_cap,
-            wrr: WeightedRoundRobin::new(),
-            blocked: BTreeMap::new(),
-            links: BTreeMap::new(),
+            incoming: Vec::new(),
+            outgoing: Vec::new(),
+            blocked_links: 0,
+            ready_inputs: 0,
             local_inbox: VecDeque::new(),
             up_bucket: up,
             down_bucket: down,
             total_bucket: total,
             bandwidth,
-            app_upstreams: HashMap::new(),
-            app_downstreams: HashMap::new(),
+            routes: Vec::new(),
             observer: None,
             rng: StdRng::seed_from_u64(hasher_seed),
             switched: 0,
@@ -134,21 +316,39 @@ impl SimNode {
 }
 
 /// Effects staged by an algorithm during one callback, applied by the
-/// simulator after the callback returns.
+/// simulator after the callback returns. The simulator owns one and
+/// reuses it for every callback.
 #[derive(Debug, Default)]
 pub(crate) struct StagedEffects {
     pub sends: Vec<(Msg, NodeId)>,
+    /// How many of `sends` go to each destination, so `backlog` costs
+    /// O(destinations) and not O(sends).
+    pub send_counts: Vec<(NodeId, usize)>,
     pub observer_msgs: Vec<Msg>,
     pub timers: Vec<(Nanos, TimerToken)>,
     pub probes: Vec<NodeId>,
     pub closes: Vec<NodeId>,
 }
 
-/// The simulator-backed [`Context`] handed to algorithms.
+impl StagedEffects {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sends.is_empty()
+            && self.send_counts.is_empty()
+            && self.observer_msgs.is_empty()
+            && self.timers.is_empty()
+            && self.probes.is_empty()
+            && self.closes.is_empty()
+    }
+}
+
+/// The simulator-backed [`Context`] handed to algorithms: the node
+/// borrowed where it lies in the arena, the link arena to read send
+/// buffer depths from, and the simulator's staging area.
 pub(crate) struct SimCtx<'a> {
     pub node: &'a mut SimNode,
+    pub links: &'a [DirectedLink],
     pub now: Nanos,
-    pub staged: StagedEffects,
+    pub staged: &'a mut StagedEffects,
 }
 
 impl Context for SimCtx<'_> {
@@ -162,6 +362,10 @@ impl Context for SimCtx<'_> {
 
     fn send(&mut self, msg: Msg, dest: NodeId) {
         self.staged.sends.push((msg, dest));
+        match self.staged.send_counts.iter_mut().find(|(d, _)| *d == dest) {
+            Some((_, n)) => *n += 1,
+            None => self.staged.send_counts.push((dest, 1)),
+        }
     }
 
     fn send_to_observer(&mut self, msg: Msg) {
@@ -178,12 +382,12 @@ impl Context for SimCtx<'_> {
         // queued-but-not-yet-applied traffic.
         let staged = self
             .staged
-            .sends
+            .send_counts
             .iter()
-            .filter(|(_, d)| *d == dest)
-            .count();
-        match self.node.links.get(&dest) {
-            Some(link) => Some(link.depth() + staged),
+            .find(|(d, _)| *d == dest)
+            .map_or(0, |(_, n)| *n);
+        match self.node.out_link(dest) {
+            Some(link) => Some(self.links[link.ix()].depth() + staged),
             None if staged > 0 => Some(staged),
             None => None,
         }
@@ -210,10 +414,7 @@ impl Context for SimCtx<'_> {
     }
 
     fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        self.node
-            .tel
-            .enabled()
-            .then(|| self.node.tel.snapshot())
+        self.node.tel.enabled().then(|| self.node.tel.snapshot())
     }
 
     fn telemetry_registry(&self) -> Option<&NodeTelemetry> {
@@ -224,28 +425,28 @@ impl Context for SimCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::NodeIdx;
     use ioverlay_api::MsgType;
-    use ioverlay_ratelimit::{BucketChain, Rate, TokenBucket};
+    use ioverlay_queue::WeightedRoundRobin;
+    use ioverlay_ratelimit::BucketSet;
+    use proptest::prelude::*;
 
     struct Nop;
     impl Algorithm for Nop {
         fn on_message(&mut self, _ctx: &mut dyn Context, _msg: Msg) {}
     }
 
-    fn bucket() -> SharedBucket {
-        BucketChain::shared(TokenBucket::new(Rate::mbps(1000), 0))
-    }
-
     fn node(port: u16) -> SimNode {
+        let bucket = BucketId::default();
         SimNode::seeded(
             NodeId::loopback(port),
             NodeBandwidth::unlimited(),
             Box::new(Nop),
             5,
             42,
-            bucket(),
-            bucket(),
-            bucket(),
+            bucket,
+            bucket,
+            bucket,
         )
     }
 
@@ -253,42 +454,61 @@ mod tests {
     fn ctx_stages_effects_without_applying_them() {
         let mut n = node(1);
         let dest = NodeId::loopback(2);
+        let mut staged = StagedEffects::default();
         let mut ctx = SimCtx {
             node: &mut n,
+            links: &[],
             now: 5,
-            staged: StagedEffects::default(),
+            staged: &mut staged,
         };
         ctx.send(Msg::control(MsgType::SQuery, NodeId::loopback(1), 0), dest);
         ctx.set_timer(100, 7);
         ctx.probe_rtt(dest);
         ctx.close_link(dest);
-        assert_eq!(ctx.staged.sends.len(), 1);
-        assert_eq!(ctx.staged.timers, vec![(100, 7)]);
-        assert_eq!(ctx.staged.probes, vec![dest]);
-        assert_eq!(ctx.staged.closes, vec![dest]);
         assert_eq!(ctx.now(), 5);
         assert_eq!(ctx.local_id(), NodeId::loopback(1));
-        assert!(n.links.is_empty(), "staging must not create links");
+        assert_eq!(staged.sends.len(), 1);
+        assert_eq!(staged.send_counts, vec![(dest, 1)]);
+        assert_eq!(staged.timers, vec![(100, 7)]);
+        assert_eq!(staged.probes, vec![dest]);
+        assert_eq!(staged.closes, vec![dest]);
+        assert!(!staged.is_empty());
+        assert!(n.outgoing.is_empty(), "staging must not create links");
     }
 
     #[test]
-    fn backlog_reports_link_depth() {
+    fn backlog_reports_link_depth_plus_staged_sends() {
         let mut n = node(1);
         let dest = NodeId::loopback(2);
-        n.links
-            .insert(dest, DirectedLink::new(5, BucketChain::new(), 0, 4));
-        n.links.get_mut(&dest).unwrap().queue.push_back(Msg::control(
-            MsgType::Data,
-            NodeId::loopback(1),
+        let ghost = NodeId::loopback(9);
+        let mut buckets = BucketSet::new();
+        let b = buckets.insert(ioverlay_ratelimit::TokenBucket::new(
+            ioverlay_ratelimit::Rate::mbps(1000),
             0,
         ));
-        let ctx = SimCtx {
+        let mut link = DirectedLink::new((NodeIdx(0), n.id), (NodeIdx(1), dest));
+        link.open_tx(5, [b; 4], 0, 4);
+        link.queue
+            .push_back(Msg::control(MsgType::Data, NodeId::loopback(1), 0));
+        n.outgoing.push(OutLink {
+            peer: dest,
+            link: LinkIdx(0),
+        });
+        let links = [link];
+        let mut staged = StagedEffects::default();
+        let mut ctx = SimCtx {
             node: &mut n,
+            links: &links,
             now: 0,
-            staged: StagedEffects::default(),
+            staged: &mut staged,
         };
         assert_eq!(ctx.backlog(dest), Some(1));
-        assert_eq!(ctx.backlog(NodeId::loopback(9)), None);
+        assert_eq!(ctx.backlog(ghost), None);
+        ctx.send(Msg::control(MsgType::Data, NodeId::loopback(1), 0), dest);
+        ctx.send(Msg::control(MsgType::Data, NodeId::loopback(1), 0), ghost);
+        ctx.send(Msg::control(MsgType::Data, NodeId::loopback(1), 0), dest);
+        assert_eq!(ctx.backlog(dest), Some(3));
+        assert_eq!(ctx.backlog(ghost), Some(1), "no link yet, one staged");
     }
 
     #[test]
@@ -306,12 +526,74 @@ mod tests {
     #[test]
     fn app_route_bookkeeping() {
         let mut n = node(1);
-        let up = NodeId::loopback(2);
-        let down = NodeId::loopback(3);
+        let (up, up2) = (NodeId::loopback(2), NodeId::loopback(7));
+        let (down, down2) = (NodeId::loopback(3), NodeId::loopback(4));
         n.note_app_upstream(7, up);
         n.note_app_upstream(7, up);
+        n.note_app_upstream(7, up2);
+        n.note_app_downstream(7, down2);
         n.note_app_downstream(7, down);
-        assert_eq!(n.app_upstreams[&7].len(), 1);
-        assert!(n.app_downstreams[&7].contains(&down));
+        n.note_app_downstream(3, down);
+        assert_eq!(
+            n.routes.iter().map(|r| r.app).collect::<Vec<_>>(),
+            vec![3, 7]
+        );
+        assert_eq!(n.routes[1].ups, vec![up, up2]);
+        assert!(n.drop_app_upstream(7, up).is_empty(), "still fed by up2");
+        assert_eq!(
+            n.drop_app_upstream(7, up2),
+            vec![down, down2],
+            "address order"
+        );
+        assert!(n.routes[1].downs.is_empty());
+        assert_eq!(n.drop_app_upstream(9, up), Vec::new(), "unknown app");
+    }
+
+    #[test]
+    fn link_lists_stay_sorted_by_peer_address() {
+        let mut n = node(1);
+        for (i, port) in [30u16, 10, 20, 10].into_iter().enumerate() {
+            n.attach_incoming(NodeId::loopback(port), LinkIdx(i as u32));
+        }
+        let peers: Vec<u16> = n.incoming.iter().map(|e| e.peer.port()).collect();
+        assert_eq!(peers, vec![10, 20, 30]);
+        assert_eq!(n.incoming[0].link, LinkIdx(1), "the first attachment stays");
+        assert_eq!(n.in_pos(NodeId::loopback(20)), Ok(1));
+        assert_eq!(n.in_pos(NodeId::loopback(25)), Err(2));
+        assert_eq!(n.wrr_len(), 0, "attached, not yet in the rotation");
+    }
+
+    proptest! {
+        /// The rotation over the incoming list picks what
+        /// `WeightedRoundRobin<NodeId>` picks, under any mix of weight
+        /// changes, removals and selections.
+        #[test]
+        fn rotation_matches_the_queue_crate_scheduler(
+            ops in proptest::collection::vec((0u8..4, 1u16..6, 0u32..4), 1..200),
+        ) {
+            let mut n = node(100);
+            let mut oracle = WeightedRoundRobin::<NodeId>::new();
+            for (op, port, weight) in ops {
+                let peer = NodeId::loopback(port);
+                match op {
+                    0 => {
+                        let pos = n.attach_incoming(peer, LinkIdx(u32::from(port)));
+                        n.wrr_set_weight(pos, weight);
+                        oracle.set_weight(peer, weight);
+                    }
+                    1 => {
+                        if let Ok(pos) = n.in_pos(peer) {
+                            n.incoming[pos].in_wrr = false;
+                        }
+                        oracle.remove(&peer);
+                    }
+                    _ => {
+                        let got = n.wrr_next().map(|pos| n.incoming[pos].peer);
+                        prop_assert_eq!(got, oracle.next().copied());
+                    }
+                }
+                prop_assert_eq!(n.wrr_len(), oracle.len());
+            }
+        }
     }
 }

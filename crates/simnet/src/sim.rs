@@ -1,16 +1,18 @@
 //! The simulation driver.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use ioverlay_api::{
     Algorithm, ControlParams, LinkDirection, Msg, MsgType, Nanos, NodeId, ThroughputPayload,
 };
-use ioverlay_ratelimit::{BucketChain, NodeBandwidth, Rate, SharedBucket, TokenBucket};
+use ioverlay_ratelimit::{BucketId, BucketSet, NodeBandwidth, Rate, TokenBucket};
+use ioverlay_telemetry::{FlowKey, SpanStage};
 
-use crate::event::{Event, EventQueue};
-use crate::link::DirectedLink;
+use crate::event::{Event, EventQueue, MsgKey, MsgStore};
+use crate::index::{LinkIdx, NodeIdx};
+use crate::link::{BlockedSend, DirectedLink};
 use crate::metrics::Metrics;
-use crate::node::{SimCtx, SimNode, StagedEffects};
+use crate::node::{remove_sorted, OutLink, SimCtx, SimNode, StagedEffects};
 
 const SEC: Nanos = 1_000_000_000;
 
@@ -140,10 +142,18 @@ impl SimBuilder {
             config: self.config,
             now: 0,
             events: EventQueue::default(),
-            nodes: BTreeMap::new(),
+            msgs: MsgStore::default(),
+            nodes: Vec::new(),
+            alive: Vec::new(),
+            links: Vec::new(),
+            buckets: BucketSet::new(),
             link_rate_presets: HashMap::new(),
             latency_presets: HashMap::new(),
             observer_log: Vec::new(),
+            staged: StagedEffects::default(),
+            flow_batch: Vec::new(),
+            retry_order: Vec::new(),
+            retry_spare: Vec::new(),
         }
     }
 }
@@ -156,11 +166,32 @@ pub struct Sim {
     config: SimConfig,
     now: Nanos,
     events: EventQueue,
-    nodes: BTreeMap<NodeId, SimNode>,
+    /// Messages of scheduled `Arrival` / `Inject` events.
+    msgs: MsgStore,
+    /// Node arena, addressed by `NodeIdx`; nodes are never removed.
+    nodes: Vec<SimNode>,
+    /// Whether each node is alive, by `NodeIdx`. Apart from the nodes
+    /// so that checking a destination touches no other node's memory.
+    alive: Vec<bool>,
+    /// Link arena, addressed by `LinkIdx`; one record per ordered node
+    /// pair that ever had a link, never removed.
+    links: Vec<DirectedLink>,
+    /// Every token bucket of the run; nodes and links hold indices.
+    buckets: BucketSet,
+    /// Statistics, and the address directory (see [`Metrics`]).
     metrics: Metrics,
     link_rate_presets: HashMap<(NodeId, NodeId), Rate>,
     latency_presets: HashMap<(NodeId, NodeId), Nanos>,
     observer_log: Vec<(Nanos, NodeId, Msg)>,
+    /// Staging area lent to every algorithm callback in turn.
+    staged: StagedEffects,
+    /// Flow observations of the sends being applied, recorded in one
+    /// batch when the callback (or retry pass, or teardown) is done.
+    flow_batch: Vec<(FlowKey, u64, u64)>,
+    /// Scratch of `retry_blocked`: the pass's upstream order, and the
+    /// buffer that collects what is still blocked.
+    retry_order: Vec<LinkIdx>,
+    retry_spare: Vec<BlockedSend>,
 }
 
 impl Sim {
@@ -202,6 +233,23 @@ impl Sim {
         self.metrics.received_kbps(node, app, now)
     }
 
+    fn node_idx(&self, id: NodeId) -> Option<NodeIdx> {
+        self.metrics.dir.node(id)
+    }
+
+    fn node(&self, id: NodeId) -> Option<&SimNode> {
+        self.node_idx(id).map(|idx| &self.nodes[idx.ix()])
+    }
+
+    /// The link `from -> to` if its sender half is open.
+    fn open_link(&self, from: NodeId, to: NodeId) -> Option<LinkIdx> {
+        self.node(from)?.out_link(to)
+    }
+
+    fn schedule(&mut self, at: Nanos, event: Event) {
+        self.events.schedule(self.now, at, event);
+    }
+
     /// Adds a node running `alg` with the given emulated bandwidth.
     ///
     /// The algorithm's `on_start` runs immediately (at the current
@@ -211,38 +259,43 @@ impl Sim {
     ///
     /// Panics if a node with this id already exists.
     pub fn add_node(&mut self, id: NodeId, bandwidth: NodeBandwidth, alg: Box<dyn Algorithm>) {
-        assert!(
-            !self.nodes.contains_key(&id),
-            "node {id} already exists in the simulation"
-        );
-        let mk = |rate: Option<Rate>| -> SharedBucket {
+        let idx = self.metrics.add_node(id);
+        let now = self.now;
+        let mut mk = |rate: Option<Rate>| -> BucketId {
             let r = rate.unwrap_or_else(unlimited_rate);
-            BucketChain::shared(TokenBucket::with_burst(
+            self.buckets.insert(TokenBucket::with_burst(
                 r,
                 (r.as_bytes_per_sec() / 8).max(8 * 1024),
-                self.now,
+                now,
             ))
         };
-        let node = SimNode::seeded(
+        let (up, down, total) = (
+            mk(bandwidth.up()),
+            mk(bandwidth.down()),
+            mk(bandwidth.total()),
+        );
+        self.alive.push(true);
+        self.nodes.push(SimNode::seeded(
             id,
             bandwidth,
             alg,
             self.config.buffer_msgs,
             self.config.seed,
-            mk(bandwidth.up()),
-            mk(bandwidth.down()),
-            mk(bandwidth.total()),
+            up,
+            down,
+            total,
+        ));
+        self.run_algorithm(idx, None, |alg, ctx| alg.on_start(ctx));
+        self.schedule(
+            self.now + self.config.measure_interval,
+            Event::MeasureTick(idx),
         );
-        self.nodes.insert(id, node);
-        self.run_algorithm(id, None, |alg, ctx| alg.on_start(ctx));
-        self.events
-            .schedule(self.now + self.config.measure_interval, Event::MeasureTick(id));
     }
 
     /// Declares the observer address a node reports to.
     pub fn set_observer(&mut self, node: NodeId, observer: NodeId) {
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.observer = Some(observer);
+        if let Some(idx) = self.node_idx(node) {
+            self.nodes[idx.ix()].observer = Some(observer);
         }
     }
 
@@ -258,8 +311,8 @@ impl Sim {
             }
         }
         let now = self.now;
-        if let Some(link) = self.nodes.get_mut(&from).and_then(|n| n.links.get_mut(&to)) {
-            link.set_link_rate(rate, now);
+        if let Some(link) = self.open_link(from, to) {
+            self.links[link.ix()].set_link_rate(rate, now, &mut self.buckets);
         }
     }
 
@@ -269,180 +322,186 @@ impl Sim {
         self.latency_presets.insert((a, b), latency);
         self.latency_presets.insert((b, a), latency);
         for (u, v) in [(a, b), (b, a)] {
-            if let Some(link) = self.nodes.get_mut(&u).and_then(|n| n.links.get_mut(&v)) {
-                link.latency = latency;
+            if let Some(link) = self.open_link(u, v) {
+                self.links[link.ix()].latency = latency;
             }
+        }
+    }
+
+    fn retune(&mut self, node: NodeId, bucket: fn(&SimNode) -> BucketId, rate: Option<Rate>) {
+        let now = self.now;
+        if let Some(id) = self.node(node).map(bucket) {
+            self.buckets
+                .get_mut(id)
+                .set_rate(rate.unwrap_or_else(unlimited_rate), now);
         }
     }
 
     /// Retunes a node's emulated total bandwidth at runtime.
     pub fn set_node_total(&mut self, node: NodeId, rate: Option<Rate>) {
-        let now = self.now;
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.total_bucket
-                .lock()
-                .set_rate(rate.unwrap_or_else(unlimited_rate), now);
-        }
+        self.retune(node, |n| n.total_bucket, rate);
     }
 
     /// Retunes a node's emulated uplink bandwidth at runtime (Fig. 6(b):
     /// *"we proceed to set the uplink available bandwidth of node D to
     /// 30 KBps"*).
     pub fn set_node_up(&mut self, node: NodeId, rate: Option<Rate>) {
-        let now = self.now;
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.up_bucket
-                .lock()
-                .set_rate(rate.unwrap_or_else(unlimited_rate), now);
-        }
+        self.retune(node, |n| n.up_bucket, rate);
     }
 
     /// Retunes a node's emulated downlink bandwidth at runtime.
     pub fn set_node_down(&mut self, node: NodeId, rate: Option<Rate>) {
-        let now = self.now;
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.down_bucket
-                .lock()
-                .set_rate(rate.unwrap_or_else(unlimited_rate), now);
-        }
+        self.retune(node, |n| n.down_bucket, rate);
     }
 
     /// Retunes the switch's weighted-round-robin weight for one of a
     /// node's upstreams — the paper's *"dynamically tunable weights"*.
     /// A weight of 0 parks the upstream (its buffer is never serviced).
+    ///
+    /// A weight may be given before `upstream` has sent anything; it
+    /// takes part in the rotation from then on. Nothing happens unless
+    /// both addresses are nodes of the simulation.
     pub fn set_switch_weight(&mut self, node: NodeId, upstream: NodeId, weight: u32) {
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.wrr.set_weight(upstream, weight);
-        }
+        let (Some(to), Some(from)) = (self.node_idx(node), self.node_idx(upstream)) else {
+            return;
+        };
+        let link = self.link_record(from, to);
+        let n = &mut self.nodes[to.ix()];
+        let pos = n.attach_incoming(upstream, link);
+        n.wrr_set_weight(pos, weight);
     }
 
     /// Overrides the buffer capacity of one node (existing and future
     /// links).
     pub fn set_node_buffer(&mut self, node: NodeId, cap: usize) {
-        if let Some(n) = self.nodes.get_mut(&node) {
-            n.recv_cap = cap;
-            for link in n.links.values_mut() {
-                link.cap = cap;
-            }
+        let Some(idx) = self.node_idx(node) else {
+            return;
+        };
+        let n = &mut self.nodes[idx.ix()];
+        n.recv_cap = cap;
+        for out in &n.outgoing {
+            self.links[out.link.ix()].cap = cap;
         }
     }
 
     /// Delivers an observer-style control message to `node` at absolute
-    /// virtual time `at`.
+    /// virtual time `at`. The node must exist when this is called;
+    /// otherwise nothing is scheduled.
     pub fn inject(&mut self, at: Nanos, node: NodeId, msg: Msg) {
-        self.events.schedule(at.max(self.now), Event::Inject { node, msg });
+        if let Some(node) = self.node_idx(node) {
+            let msg = self.msgs.insert(msg);
+            self.schedule(at.max(self.now), Event::Inject { node, msg });
+        }
     }
 
-    /// Schedules a node failure at absolute virtual time `at`.
+    /// Schedules a node failure at absolute virtual time `at`. The node
+    /// must exist when this is called; otherwise nothing is scheduled.
     pub fn kill_at(&mut self, at: Nanos, node: NodeId) {
-        self.events
-            .schedule(at.max(self.now), Event::KillNode(node));
+        if let Some(node) = self.node_idx(node) {
+            self.schedule(at.max(self.now), Event::KillNode(node));
+        }
     }
 
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes.get(&node).is_some_and(|n| n.alive)
+        self.node_idx(node).is_some_and(|idx| self.alive[idx.ix()])
     }
 
     /// The downstream neighbors of `node` (outgoing links).
     pub fn downstreams_of(&self, node: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .get(&node)
-            .map(|n| n.links.keys().copied().collect())
+        self.node(node)
+            .map(|n| n.outgoing.iter().map(|e| e.peer).collect())
             .unwrap_or_default()
     }
 
     /// The upstream neighbors of `node` (receive buffers).
     pub fn upstreams_of(&self, node: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .get(&node)
-            .map(|n| n.recv_queues.keys().copied().collect())
+        self.node(node)
+            .map(|n| self.upstreams(n).map(|(peer, _)| peer).collect())
             .unwrap_or_default()
+    }
+
+    /// Upstreams `node` holds a receive buffer for, in address order.
+    fn upstreams<'a>(
+        &'a self,
+        node: &'a SimNode,
+    ) -> impl Iterator<Item = (NodeId, &'a DirectedLink)> + 'a {
+        node.incoming
+            .iter()
+            .map(|e| (e.peer, &self.links[e.link.ix()]))
+            .filter(|(_, link)| link.rx_open)
     }
 
     /// The emulated bandwidth profile a node was created with.
     pub fn node_bandwidth(&self, node: NodeId) -> Option<NodeBandwidth> {
-        self.nodes.get(&node).map(|n| n.bandwidth)
+        self.node(node).map(|n| n.bandwidth)
     }
 
     /// Builds the node's status report — the same data a real node sends
     /// the observer on each `request`: buffer lengths, neighbors,
     /// per-link throughput, and the algorithm's own status.
     pub fn status_report(&mut self, node_id: NodeId) -> Option<ioverlay_api::StatusReport> {
+        let idx = self.node_idx(node_id)?;
+        Some(self.status_report_of(idx))
+    }
+
+    fn status_report_of(&mut self, idx: NodeIdx) -> ioverlay_api::StatusReport {
         let now = self.now;
-        let (recv, send, ups, downs, switched, alg_status, telemetry, spans, series, flows) = {
-            let node = self.nodes.get(&node_id)?;
-            let recv: Vec<(NodeId, usize)> = node
-                .recv_queues
-                .keys()
-                .map(|&u| (u, node.recv_len(u).unwrap_or(0)))
-                .collect();
-            let send: Vec<(NodeId, usize)> = node
-                .links
-                .iter()
-                .map(|(&d, l)| (d, l.depth()))
-                .collect();
-            let ups: Vec<NodeId> = node.recv_queues.keys().copied().collect();
-            let downs: Vec<NodeId> = node.links.keys().copied().collect();
-            let alg_status = node
-                .alg
-                .as_ref()
-                .map(|a| a.status())
-                .unwrap_or(serde_json::Value::Null);
-            let telemetry = node.tel.enabled().then(|| node.tel.snapshot());
-            // Virtual time has no wall anchor; the observer treats the
-            // timestamps as relative, which is exactly what they are.
-            let spans = node.tel.enabled().then(|| {
-                let (spans, dropped) = node.tel.spans().consistent_view();
-                ioverlay_telemetry::SpanBatch {
-                    wall_anchor: 0,
-                    dropped,
-                    spans,
-                }
-            });
-            // The sim is single-threaded, so reports always carry the
-            // full ring — there is no piggyback watermark to advance.
-            let series = node.tel.enabled().then(|| ioverlay_telemetry::SeriesBatch {
-                windows: node.tel.series().snapshot(),
-            });
-            let flows = node.tel.enabled().then(|| node.tel.flows().snapshot());
-            (
-                recv,
-                send,
-                ups,
-                downs,
-                node.switched,
-                alg_status,
-                telemetry,
-                spans,
-                series,
-                flows,
-            )
-        };
-        let link_kbps: Vec<(NodeId, f64)> = downs
-            .iter()
-            .map(|&d| (d, self.metrics.link_kbps(node_id, d, now)))
+        let node = &self.nodes[idx.ix()];
+        let recv: Vec<(NodeId, usize)> = self
+            .upstreams(node)
+            .map(|(peer, link)| (peer, link.recv.len()))
             .collect();
-        Some(ioverlay_api::StatusReport {
-            node: Some(node_id),
+        let ups: Vec<NodeId> = recv.iter().map(|&(peer, _)| peer).collect();
+        let mut send = Vec::with_capacity(node.outgoing.len());
+        let mut downs = Vec::with_capacity(node.outgoing.len());
+        let mut link_kbps = Vec::with_capacity(node.outgoing.len());
+        for out in &node.outgoing {
+            send.push((out.peer, self.links[out.link.ix()].depth()));
+            downs.push(out.peer);
+            link_kbps.push((out.peer, self.metrics.link_kbps_at(out.link, now)));
+        }
+        let alg_status = node
+            .alg
+            .as_ref()
+            .map(|a| a.status())
+            .unwrap_or(serde_json::Value::Null);
+        let telemetry = node.tel.enabled().then(|| node.tel.snapshot());
+        // Virtual time has no wall anchor; the observer treats the
+        // timestamps as relative, which is exactly what they are.
+        let spans = node.tel.enabled().then(|| {
+            let (spans, dropped) = node.tel.spans().consistent_view();
+            ioverlay_telemetry::SpanBatch {
+                wall_anchor: 0,
+                dropped,
+                spans,
+            }
+        });
+        // The sim is single-threaded, so reports always carry the
+        // full ring — there is no piggyback watermark to advance.
+        let series = node.tel.enabled().then(|| ioverlay_telemetry::SeriesBatch {
+            windows: node.tel.series().snapshot(),
+        });
+        let flows = node.tel.enabled().then(|| node.tel.flows().snapshot());
+        ioverlay_api::StatusReport {
+            node: Some(node.id),
             recv_buffers: recv,
             send_buffers: send,
             upstreams: ups,
             downstreams: downs,
             link_kbps,
-            switched_msgs: switched,
+            switched_msgs: node.switched,
             algorithm: alg_status,
             telemetry,
             spans,
             series,
             flows,
-        })
+        }
     }
 
     /// Runs a read-only query against a node's algorithm state.
     pub fn algorithm_status(&self, node: NodeId) -> serde_json::Value {
-        self.nodes
-            .get(&node)
+        self.node(node)
             .and_then(|n| n.alg.as_ref())
             .map(|a| a.status())
             .unwrap_or(serde_json::Value::Null)
@@ -458,6 +517,7 @@ impl Sim {
             debug_assert!(at >= self.now, "event queue went backwards");
             self.now = at;
             self.handle(event);
+            debug_assert!(self.staged.is_empty() && self.flow_batch.is_empty());
         }
         self.now = self.now.max(deadline);
     }
@@ -479,10 +539,10 @@ impl Sim {
 
     fn handle(&mut self, event: Event) {
         match event {
-            Event::Arrival { from, to, msg } => self.handle_arrival(from, to, msg),
+            Event::Arrival { link, msg } => self.handle_arrival(link, msg),
             Event::Process(node) => self.handle_process(node),
             Event::Timer { node, token } => {
-                if self.nodes.get(&node).is_some_and(|n| n.alive) {
+                if self.alive[node.ix()] {
                     self.run_algorithm(node, None, |alg, ctx| alg.on_timer(ctx, token));
                 }
             }
@@ -495,22 +555,21 @@ impl Sim {
                 self.handle_peer_gone(node, upstream, false);
             }
             Event::Inject { node, msg } => {
-                if let Some(n) = self.nodes.get_mut(&node) {
-                    if n.alive {
-                        n.local_inbox.push_back(msg);
-                        self.events.schedule(self.now, Event::Process(node));
-                    }
-                }
+                let msg = self.msgs.take(msg);
+                self.deliver_local(node, msg);
             }
         }
     }
 
-    fn handle_arrival(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+    fn handle_arrival(&mut self, l: LinkIdx, msg: MsgKey) {
+        let mut msg = self.msgs.take(msg);
         let bytes = msg.wire_len() as u64;
-        let receiver_ok = self.nodes.get(&to).is_some_and(|n| n.alive);
-        if !receiver_ok {
-            self.metrics.record_lost(from, to, 1);
-            if let Some(link) = self.nodes.get_mut(&from).and_then(|n| n.links.get_mut(&to)) {
+        let now = self.now;
+        let link = &mut self.links[l.ix()];
+        let (from, to) = (link.from, link.to);
+        if !self.alive[to.ix()] {
+            self.metrics.record_lost(Some(l), 1);
+            if link.tx_open {
                 link.outstanding = link.outstanding.saturating_sub(1);
             }
             return;
@@ -518,46 +577,35 @@ impl Sim {
         // Ensure the receive buffer exists; a first arrival from a new
         // upstream also notifies the algorithm (persistent connection
         // accepted).
-        let mut newly_joined = false;
-        {
-            let node = self.nodes.get_mut(&to).expect("receiver exists");
-            if let std::collections::btree_map::Entry::Vacant(e) = node.recv_queues.entry(from) {
-                e.insert(Default::default());
-                node.wrr.set_weight(from, 1);
-                newly_joined = true;
-            }
+        if !link.rx_open {
+            link.rx_open = true;
+            let (from_id, app) = (link.from_id, msg.app());
+            let node = &mut self.nodes[to.ix()];
+            let pos = node.attach_incoming(from_id, l);
+            node.wrr_set_weight(pos, 1);
+            node.tel.record_connect(now, from_id, false);
+            self.deliver_local(to, Msg::control(MsgType::UpstreamJoined, from_id, app));
         }
-        if newly_joined {
-            if let Some(node) = self.nodes.get(&to) {
-                node.tel.record_connect(self.now, from, false);
-            }
-            self.deliver_local(to, Msg::control(MsgType::UpstreamJoined, from, msg.app()));
-        }
-        let now = self.now;
-        let accepted = {
-            let node = self.nodes.get_mut(&to).expect("receiver exists");
-            let q = node.recv_queues.get_mut(&from).expect("just ensured");
-            if q.len() < node.recv_cap {
-                let mut msg = msg.clone();
+        let link = &mut self.links[l.ix()];
+        let node = &mut self.nodes[to.ix()];
+        if link.recv.len() < node.recv_cap {
+            if msg.trace().is_some() {
                 // Virtual receive is instantaneous: a zero-width span
                 // anchors the hop and rewrites the carried context.
-                node.tel.record_recv_span(to, from, &mut msg, now, now);
-                q.push_back(msg);
-                true
-            } else {
-                false
+                node.tel
+                    .record_recv_span(link.to_id, link.from_id, &mut msg, now, now);
             }
-        };
-        if accepted {
-            self.metrics.record_link_delivery(from, to, bytes, self.now);
-            if let Some(link) = self.nodes.get_mut(&from).and_then(|n| n.links.get_mut(&to)) {
+            node.ready_inputs += u32::from(link.recv.is_empty());
+            link.recv.push_back(msg);
+            self.metrics.record_link_delivery(l, bytes, now);
+            if link.tx_open {
                 link.outstanding = link.outstanding.saturating_sub(1);
             }
-            self.kick_link(from, to);
-            self.events.schedule(self.now, Event::Process(to));
+            self.kick_link(l);
+            self.schedule(now, Event::Process(to));
             // Freed send-buffer space may unblock fanouts at the sender.
-            self.events.schedule(self.now, Event::Process(from));
-        } else if let Some(link) = self.nodes.get_mut(&from).and_then(|n| n.links.get_mut(&to)) {
+            self.schedule(now, Event::Process(from));
+        } else if link.tx_open {
             // Receiver buffer full: the message waits in the (virtual)
             // kernel buffer and the link stays throttled — TCP back
             // pressure.
@@ -565,292 +613,290 @@ impl Sim {
         }
     }
 
-    fn handle_process(&mut self, node_id: NodeId) {
-        if !self.nodes.get(&node_id).is_some_and(|n| n.alive) {
+    fn handle_process(&mut self, idx: NodeIdx) {
+        if !self.alive[idx.ix()] {
             return;
         }
         for _ in 0..self.config.process_batch {
             // 1. Retry blocked fanouts ("remaining senders").
-            self.retry_blocked(node_id);
+            self.retry_blocked(idx);
             // 2. Engine-internal deliveries first (control plane).
-            let local = self
-                .nodes
-                .get_mut(&node_id)
-                .and_then(|n| n.local_inbox.pop_front());
-            if let Some(msg) = local {
-                self.deliver_to_algorithm(node_id, None, msg);
+            if let Some(msg) = self.nodes[idx.ix()].local_inbox.pop_front() {
+                self.deliver_to_algorithm(idx, None, msg);
                 continue;
             }
             // 3. Switch one data-plane message, WRR over receive buffers.
-            let Some(upstream) = self.pick_upstream(node_id) else {
+            let Some(l) = self.pick_upstream(idx) else {
                 break;
             };
-            let msg = {
-                let now = self.now;
-                let node = self.nodes.get_mut(&node_id).expect("alive node");
-                node.switched += 1;
-                match node.recv_queues.get_mut(&upstream) {
-                    Some(q) => {
-                        let occupancy = q.len() as u64;
-                        let popped = q.pop_front();
-                        node.tel.record_switch_batch(1, occupancy);
-                        if let Some(c) = popped
-                            .as_ref()
-                            .and_then(|m| m.trace())
-                            .filter(ioverlay_api::TraceContext::is_sampled)
-                        {
-                            node.tel.record_hop_span(
-                                node_id,
-                                Some(upstream),
-                                c.trace_id,
-                                c.parent_span,
-                                ioverlay_telemetry::SpanStage::Switch,
-                                now,
-                                now,
-                            );
-                        }
-                        popped
-                    }
-                    None => None,
-                }
-            };
-            let Some(msg) = msg else { continue };
+            let now = self.now;
+            let node = &mut self.nodes[idx.ix()];
+            let link = &mut self.links[l.ix()];
+            node.switched += 1;
+            let occupancy = link.recv.len() as u64;
+            let msg = link
+                .recv
+                .pop_front()
+                .expect("pick_upstream returns a non-empty buffer");
+            node.ready_inputs -= u32::from(link.recv.is_empty());
+            node.tel.record_switch_batch(1, occupancy);
+            if let Some(c) = msg.trace().filter(ioverlay_api::TraceContext::is_sampled) {
+                node.tel.record_hop_span(
+                    node.id,
+                    Some(link.from_id),
+                    c.trace_id,
+                    c.parent_span,
+                    SpanStage::Switch,
+                    now,
+                    now,
+                );
+            }
             // Freed receive space: accept one stalled in-network message.
-            self.resume_stalled(upstream, node_id);
-            self.deliver_to_algorithm(node_id, Some(upstream), msg);
+            self.resume_stalled(l);
+            self.deliver_to_algorithm(idx, Some(l), msg);
         }
         // If work remains, continue in a fresh event (bounded batches keep
         // single events from monopolizing the virtual instant).
-        let more = self.nodes.get(&node_id).is_some_and(|n| {
-            n.alive && (!n.local_inbox.is_empty() || n.has_switchable_input())
-        });
-        if more {
-            self.events.schedule(self.now, Event::Process(node_id));
+        let node = &self.nodes[idx.ix()];
+        let input = node.ready_inputs > 0 && node.has_switchable_input(&self.links);
+        if input || !node.local_inbox.is_empty() {
+            self.schedule(self.now, Event::Process(idx));
         }
     }
 
     /// Chooses the next upstream to service: WRR order, skipping empty
     /// buffers and upstreams with a blocked fanout.
-    fn pick_upstream(&mut self, node_id: NodeId) -> Option<NodeId> {
-        let node = self.nodes.get_mut(&node_id)?;
-        let candidates = node.wrr.len();
+    fn pick_upstream(&mut self, idx: NodeIdx) -> Option<LinkIdx> {
+        let node = &mut self.nodes[idx.ix()];
+        debug_assert_eq!(
+            node.ready_inputs as usize,
+            node.incoming
+                .iter()
+                .filter(|e| !self.links[e.link.ix()].recv.is_empty())
+                .count()
+        );
+        // Most `Process` events find nothing to switch. With at most one
+        // upstream that is known from the node alone, and the rotation
+        // needs no turn: selecting the only upstream raises its credit
+        // by its weight and charges it the same total.
+        if node.ready_inputs == 0 && node.incoming.len() <= 1 {
+            return None;
+        }
+        let candidates = node.wrr_len();
         for _ in 0..candidates {
-            let up = *node.wrr.next()?;
-            let eligible = !node.blocked.contains_key(&up)
-                && node.recv_queues.get(&up).is_some_and(|q| !q.is_empty());
-            if eligible {
-                return Some(up);
+            let pos = node.wrr_next()?;
+            let l = node.incoming[pos].link;
+            let link = &self.links[l.ix()];
+            let blocked = node.blocked_links > 0 && !link.blocked.is_empty();
+            if !blocked && link.rx_open && !link.recv.is_empty() {
+                return Some(l);
             }
         }
         None
     }
 
-    fn retry_blocked(&mut self, node_id: NodeId) {
-        let blocked: Vec<(NodeId, Vec<(Msg, NodeId)>)> = {
-            let Some(node) = self.nodes.get_mut(&node_id) else {
-                return;
-            };
-            let mut keys: Vec<NodeId> = node.blocked.keys().copied().collect();
-            // Rotate the retry order so a single freed sender slot is
-            // granted to competing upstreams in turn — fixed iteration
-            // order would starve all but the smallest id.
-            if !keys.is_empty() {
-                let shift = (node.retry_rotor as usize) % keys.len();
-                keys.rotate_left(shift);
-                node.retry_rotor = node.retry_rotor.wrapping_add(1);
-            }
-            keys.into_iter()
-                .filter_map(|k| node.blocked.remove(&k).map(|v| (k, v)))
-                .collect()
-        };
-        for (upstream, sends) in blocked {
+    fn retry_blocked(&mut self, idx: NodeIdx) {
+        let node = &mut self.nodes[idx.ix()];
+        debug_assert_eq!(
+            node.blocked_links as usize,
+            node.incoming
+                .iter()
+                .filter(|e| !self.links[e.link.ix()].blocked.is_empty())
+                .count()
+        );
+        if node.blocked_links == 0 {
+            return;
+        }
+        let mut order = std::mem::take(&mut self.retry_order);
+        order.extend(
+            node.incoming
+                .iter()
+                .map(|e| e.link)
+                .filter(|l| !self.links[l.ix()].blocked.is_empty()),
+        );
+        // Rotate the retry order so a single freed sender slot is
+        // granted to competing upstreams in turn — fixed iteration
+        // order would starve all but the smallest id.
+        let shift = (node.retry_rotor as usize) % order.len();
+        order.rotate_left(shift);
+        node.retry_rotor = node.retry_rotor.wrapping_add(1);
+        for &upstream in &order {
+            // `sends` empties into the link buffers or into `still`;
+            // whichever of the two vectors ends up empty is the spare of
+            // the next pass, so a pass allocates nothing.
+            let mut sends = std::mem::take(&mut self.links[upstream.ix()].blocked);
+            let mut still = std::mem::take(&mut self.retry_spare);
             let total = sends.len();
-            let mut still = Vec::new();
-            for (msg, dest) in sends {
-                if !self.enqueue_send(node_id, dest, msg.clone(), Some(upstream)) {
+            for (msg, dest) in sends.drain(..) {
+                if let Err(msg) = self.enqueue_send(idx, dest, msg, Some(upstream)) {
                     still.push((msg, dest));
                 }
             }
+            self.flush_flows(idx);
             let retried = total - still.len();
+            let node = &mut self.nodes[idx.ix()];
             if retried > 0 {
-                let now = self.now;
-                if let Some(node) = self.nodes.get_mut(&node_id) {
-                    node.tel.record_forward_retry(now, upstream, retried as u64);
-                }
+                let upstream_id = self.links[upstream.ix()].from_id;
+                node.tel
+                    .record_forward_retry(self.now, upstream_id, retried as u64);
             }
-            if !still.is_empty() {
-                if let Some(node) = self.nodes.get_mut(&node_id) {
-                    node.blocked.insert(upstream, still);
-                }
-            } else {
+            if still.is_empty() {
+                node.blocked_links -= 1;
+                self.retry_spare = still;
                 // The head-of-line block cleared; the upstream's buffer
                 // can drain again.
-                self.events.schedule(self.now, Event::Process(node_id));
+                self.schedule(self.now, Event::Process(idx));
+            } else {
+                self.links[upstream.ix()].blocked = still;
+                self.retry_spare = sends;
             }
         }
+        order.clear();
+        self.retry_order = order;
     }
 
-    /// Accepts one stalled in-network message from `upstream`'s link now
-    /// that `node_id` freed a receive slot.
-    fn resume_stalled(&mut self, upstream: NodeId, node_id: NodeId) {
-        let msg = self
-            .nodes
-            .get_mut(&upstream)
-            .and_then(|n| n.links.get_mut(&node_id))
-            .and_then(|l| l.stalled.pop_front());
-        let Some(mut msg) = msg else { return };
+    /// Accepts one stalled in-network message of link `l` now that its
+    /// receiver freed a receive slot.
+    fn resume_stalled(&mut self, l: LinkIdx) {
+        let link = &mut self.links[l.ix()];
+        if !link.tx_open {
+            return;
+        }
+        let Some(mut msg) = link.stalled.pop_front() else {
+            return;
+        };
         let bytes = msg.wire_len() as u64;
         let now = self.now;
-        let node = self.nodes.get_mut(&node_id).expect("receiver exists");
-        node.tel.record_recv_span(node_id, upstream, &mut msg, now, now);
-        node.recv_queues
-            .entry(upstream)
-            .or_default()
-            .push_back(msg);
-        self.metrics
-            .record_link_delivery(upstream, node_id, bytes, self.now);
-        if let Some(link) = self
-            .nodes
-            .get_mut(&upstream)
-            .and_then(|n| n.links.get_mut(&node_id))
-        {
-            link.outstanding = link.outstanding.saturating_sub(1);
+        let node = &mut self.nodes[link.to.ix()];
+        if msg.trace().is_some() {
+            node.tel
+                .record_recv_span(link.to_id, link.from_id, &mut msg, now, now);
         }
-        self.kick_link(upstream, node_id);
+        node.ready_inputs += u32::from(link.recv.is_empty());
+        link.recv.push_back(msg);
+        link.outstanding = link.outstanding.saturating_sub(1);
+        self.metrics.record_link_delivery(l, bytes, now);
+        self.kick_link(l);
     }
 
     /// Runs the algorithm callback for one message, applying the
     /// middleware-level semantics first (app-route bookkeeping, the
-    /// `BrokenSource` domino).
-    fn deliver_to_algorithm(&mut self, node_id: NodeId, from_upstream: Option<NodeId>, msg: Msg) {
+    /// `BrokenSource` domino). `from` is the link the message was
+    /// switched from, `None` for an engine-internal delivery.
+    fn deliver_to_algorithm(&mut self, idx: NodeIdx, from: Option<LinkIdx>, msg: Msg) {
+        let upstream = from.map(|l| self.links[l.ix()].from_id);
         match msg.ty() {
             MsgType::Data => {
                 let app = msg.app();
                 let payload = msg.payload().len() as u64;
-                if let Some(up) = from_upstream {
-                    if let Some(node) = self.nodes.get_mut(&node_id) {
-                        node.note_app_upstream(app, up);
-                    }
+                if let Some(up) = upstream {
+                    self.nodes[idx.ix()].note_app_upstream(app, up);
                 }
                 self.metrics
-                    .record_data_received(node_id, app, payload, self.now);
+                    .record_data_received(idx, app, payload, self.now);
             }
             MsgType::BrokenSource => {
-                if let Some(up) = from_upstream {
-                    self.domino_broken_source(node_id, msg.app(), up);
+                if let Some(up) = upstream {
+                    self.domino_broken_source(idx, msg.app(), up);
                 }
             }
             MsgType::Request => {
                 // The runtime answers status requests, mirroring the
                 // engine; the report lands in the observer log.
-                if let Some(report) = self.status_report(node_id) {
-                    let status = Msg::new(MsgType::Status, node_id, 0, 0, report.encode());
-                    self.metrics
-                        .record_sent(node_id, MsgType::Status, status.wire_len() as u64, self.now);
-                    self.observer_log.push((self.now, node_id, status));
-                }
+                let report = self.status_report_of(idx);
+                let id = self.nodes[idx.ix()].id;
+                let status = Msg::new(MsgType::Status, id, 0, 0, report.encode());
+                self.metrics
+                    .record_sent(idx, MsgType::Status, status.wire_len() as u64, self.now);
+                self.observer_log.push((self.now, id, status));
             }
             _ => {}
         }
-        self.run_algorithm(node_id, from_upstream, |alg, ctx| alg.on_message(ctx, msg));
+        self.run_algorithm(idx, from, |alg, ctx| alg.on_message(ctx, msg));
     }
 
     /// Propagates a broken application source downstream — the paper's
     /// "Domino Effect", performed by the middleware so that algorithms
     /// only ever *react* to `BrokenSource`.
-    fn domino_broken_source(&mut self, node_id: NodeId, app: u32, gone_upstream: NodeId) {
-        let forward_to: Vec<NodeId> = {
-            let Some(node) = self.nodes.get_mut(&node_id) else {
-                return;
-            };
-            let ups = node.app_upstreams.entry(app).or_default();
-            ups.remove(&gone_upstream);
-            if !ups.is_empty() {
-                Vec::new() // another upstream still feeds this app
-            } else {
-                node.app_downstreams
-                    .remove(&app)
-                    .map(|s| s.into_iter().collect())
-                    .unwrap_or_default()
-            }
-        };
-        for dest in forward_to {
-            let broken = Msg::control(MsgType::BrokenSource, node_id, app);
-            self.enqueue_send(node_id, dest, broken, None);
+    fn domino_broken_source(&mut self, idx: NodeIdx, app: u32, gone_upstream: NodeId) {
+        let node = &mut self.nodes[idx.ix()];
+        let id = node.id;
+        for dest in node.drop_app_upstream(app, gone_upstream) {
+            let broken = Msg::control(MsgType::BrokenSource, id, app);
+            let _ = self.enqueue_send(idx, dest, broken, None);
         }
+        self.flush_flows(idx);
     }
 
-    fn run_algorithm<F>(&mut self, node_id: NodeId, from_upstream: Option<NodeId>, f: F)
+    /// Runs one algorithm callback on the node where it lies in the
+    /// arena, then applies what the callback staged.
+    fn run_algorithm<F>(&mut self, idx: NodeIdx, from: Option<LinkIdx>, f: F)
     where
         F: FnOnce(&mut dyn Algorithm, &mut SimCtx<'_>),
     {
-        let Some(mut node) = self.nodes.remove(&node_id) else {
-            return;
-        };
+        let node = &mut self.nodes[idx.ix()];
         let Some(mut alg) = node.alg.take() else {
-            self.nodes.insert(node_id, node);
             return;
         };
-        let staged = {
-            let mut ctx = SimCtx {
-                node: &mut node,
-                now: self.now,
-                staged: StagedEffects::default(),
-            };
-            f(alg.as_mut(), &mut ctx);
-            ctx.staged
+        debug_assert!(self.staged.is_empty(), "callbacks do not nest");
+        let mut ctx = SimCtx {
+            node,
+            links: &self.links,
+            now: self.now,
+            staged: &mut self.staged,
         };
-        node.alg = Some(alg);
-        self.nodes.insert(node_id, node);
-        self.apply_staged(node_id, from_upstream, staged);
+        f(alg.as_mut(), &mut ctx);
+        self.nodes[idx.ix()].alg = Some(alg);
+        self.apply_staged(idx, from);
     }
 
-    fn apply_staged(
-        &mut self,
-        node_id: NodeId,
-        from_upstream: Option<NodeId>,
-        staged: StagedEffects,
-    ) {
+    fn apply_staged(&mut self, idx: NodeIdx, from: Option<LinkIdx>) {
         let now = self.now;
-        for (mut msg, dest) in staged.sends {
+        // Applying never runs a callback, so nothing stages meanwhile;
+        // the vectors go back, emptied, with their capacity.
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.send_counts.clear();
+        for (mut msg, dest) in staged.sends.drain(..) {
             // Trace sampling happens at the origin: every Nth locally
             // originated data message gets a trace context (mirrors the
             // engine's `apply_staged`).
-            if from_upstream.is_none()
+            if from.is_none()
                 && self.config.trace_sample > 0
                 && msg.ty() == MsgType::Data
                 && msg.trace().is_none()
             {
-                if let Some(node) = self.nodes.get_mut(&node_id) {
-                    node.trace_count += 1;
-                    if node.trace_count % u64::from(self.config.trace_sample) == 0 {
-                        node.tel.start_trace(node_id, &mut msg, now);
-                    }
+                let node = &mut self.nodes[idx.ix()];
+                node.trace_count += 1;
+                if node
+                    .trace_count
+                    .is_multiple_of(u64::from(self.config.trace_sample))
+                {
+                    node.tel.start_trace(node.id, &mut msg, now);
                 }
             }
-            if !self.enqueue_send(node_id, dest, msg.clone(), from_upstream) {
-                if let (Some(up), Some(node)) = (from_upstream, self.nodes.get_mut(&node_id)) {
-                    node.tel.record_buffer_full(now, dest, 1);
-                    node.blocked.entry(up).or_default().push((msg, dest));
+            if let Err(msg) = self.enqueue_send(idx, dest, msg, from) {
+                let upstream = from.expect("only forwarded sends are refused");
+                let node = &mut self.nodes[idx.ix()];
+                node.tel.record_buffer_full(now, dest, 1);
+                let blocked = &mut self.links[upstream.ix()].blocked;
+                if blocked.is_empty() {
+                    node.blocked_links += 1;
                 }
+                blocked.push((msg, dest));
             }
         }
-        for msg in staged.observer_msgs {
+        self.flush_flows(idx);
+        let id = self.nodes[idx.ix()].id;
+        for msg in staged.observer_msgs.drain(..) {
             self.metrics
-                .record_sent(node_id, msg.ty(), msg.wire_len() as u64, self.now);
-            self.observer_log.push((self.now, node_id, msg));
+                .record_sent(idx, msg.ty(), msg.wire_len() as u64, now);
+            self.observer_log.push((now, id, msg));
         }
-        for (delay, token) in staged.timers {
-            self.events.schedule(
-                self.now + delay,
-                Event::Timer {
-                    node: node_id,
-                    token,
-                },
-            );
+        for (delay, token) in staged.timers.drain(..) {
+            self.schedule(now + delay, Event::Timer { node: idx, token });
         }
-        for peer in staged.probes {
-            let latency = self.latency_for(node_id, peer);
+        for peer in staged.probes.drain(..) {
+            let latency = self.latency_for(id, peer);
             let rtt = 2 * latency;
             let micros = i32::try_from(rtt / 1_000).unwrap_or(i32::MAX);
             let pong = Msg::new(
@@ -860,50 +906,55 @@ impl Sim {
                 0,
                 ControlParams::new(Some(micros), None).encode(),
             );
-            self.events.schedule(
-                self.now + rtt,
-                Event::Inject {
-                    node: node_id,
-                    msg: pong,
-                },
-            );
+            let msg = self.msgs.insert(pong);
+            self.schedule(now + rtt, Event::Inject { node: idx, msg });
         }
-        for peer in staged.closes {
-            self.close_link(node_id, peer);
+        for peer in staged.closes.drain(..) {
+            self.close_link(idx, peer);
         }
+        self.staged = staged;
     }
 
     /// Gracefully closes the directed link `from -> to`.
-    fn close_link(&mut self, from: NodeId, to: NodeId) {
-        let latency = self.latency_for(from, to);
-        let existed = {
-            let Some(node) = self.nodes.get_mut(&from) else {
-                return;
-            };
-            match node.links.remove(&to) {
-                Some(mut link) => {
-                    let lost = link.drop_all();
-                    if lost > 0 {
-                        self.metrics.record_lost(from, to, lost);
-                    }
-                    true
-                }
-                None => false,
-            }
+    fn close_link(&mut self, from: NodeIdx, to: NodeId) {
+        let node = &mut self.nodes[from.ix()];
+        let Ok(pos) = node.out_pos(to) else {
+            return;
         };
-        if existed {
-            if let Some(node) = self.nodes.get_mut(&from) {
-                for set in node.app_downstreams.values_mut() {
-                    set.remove(&to);
-                }
+        let l = node.outgoing.remove(pos).link;
+        for route in &mut node.routes {
+            remove_sorted(&mut route.downs, to);
+        }
+        let latency = self.latency_for(self.nodes[from.ix()].id, to);
+        let link = &mut self.links[l.ix()];
+        let lost = link.drop_all();
+        link.tx_open = false;
+        let peer = link.to;
+        if lost > 0 {
+            self.metrics.record_lost(Some(l), lost);
+        }
+        self.prune_incoming(l);
+        self.schedule(
+            self.now + latency,
+            Event::UpstreamClosed {
+                node: peer,
+                upstream: from,
+            },
+        );
+    }
+
+    /// Drops link `l` from its receiver's incoming list once nothing
+    /// refers to it: sender half closed, no receive buffer, no weight.
+    fn prune_incoming(&mut self, l: LinkIdx) {
+        let link = &self.links[l.ix()];
+        if link.tx_open || link.rx_open {
+            return;
+        }
+        let node = &mut self.nodes[link.to.ix()];
+        if let Ok(pos) = node.in_pos(link.from_id) {
+            if !node.incoming[pos].in_wrr {
+                node.incoming.remove(pos);
             }
-            self.events.schedule(
-                self.now + latency,
-                Event::UpstreamClosed {
-                    node: to,
-                    upstream: from,
-                },
-            );
         }
     }
 
@@ -915,253 +966,278 @@ impl Sim {
     }
 
     /// Queues a message on the link `owner -> dest`, creating the link on
-    /// first use (persistent connections). Returns `false` if the send
-    /// must wait because the (bounded) buffer is full — only possible for
-    /// traffic forwarded from a receive buffer; locally originated sends
-    /// always enqueue (sources self-pace via `Context::backlog`).
+    /// first use (persistent connections). Hands the message back if the
+    /// send must wait because the (bounded) buffer is full — only
+    /// possible for traffic forwarded from a receive buffer (`from` is
+    /// the link it was switched from); locally originated sends always
+    /// enqueue (sources self-pace via `Context::backlog`).
+    ///
+    /// Flow accounting goes to `flow_batch`: the caller ends its run of
+    /// sends with [`Sim::flush_flows`].
     fn enqueue_send(
         &mut self,
-        owner: NodeId,
+        owner: NodeIdx,
         dest: NodeId,
         msg: Msg,
-        from_upstream: Option<NodeId>,
-    ) -> bool {
-        if owner == dest {
-            return true; // self-sends are silently consumed
+        from: Option<LinkIdx>,
+    ) -> Result<(), Msg> {
+        let node = &self.nodes[owner.ix()];
+        if node.id == dest {
+            return Ok(()); // self-sends are silently consumed
         }
-        if !self.nodes.get(&dest).is_some_and(|n| n.alive) {
+        // The list of open links answers for every destination but a new
+        // one; only that goes through the address directory.
+        let open = node.out_link(dest);
+        let dest_idx = match open {
+            Some(l) => Some(self.links[l.ix()].to),
+            None => self.node_idx(dest),
+        };
+        let Some(dest_idx) = dest_idx.filter(|d| self.alive[d.ix()]) else {
             // Unknown or dead destination: the connect fails and the
             // engine reports it, exactly like a refused TCP connection.
-            self.metrics.record_lost(owner, dest, 1);
-            if let Some(node) = self.nodes.get(&owner) {
-                node.tel.record_connect_failed(self.now, dest);
-            }
-            self.deliver_local(owner, Msg::control(MsgType::NeighborFailed, dest, msg.app()));
-            return true;
-        }
-        // Create the link lazily.
-        if !self
-            .nodes
-            .get(&owner)
-            .is_some_and(|n| n.links.contains_key(&dest))
-        {
-            self.create_link(owner, dest);
+            let record = open.or_else(|| self.metrics.dir.link(owner, dest_idx?));
+            self.metrics.record_lost(record, 1);
+            node.tel.record_connect_failed(self.now, dest);
             self.deliver_local(
                 owner,
-                Msg::control(MsgType::DownstreamJoined, dest, msg.app()),
+                Msg::control(MsgType::NeighborFailed, dest, msg.app()),
             );
-        }
-        let is_data = msg.ty() == MsgType::Data;
-        let app = msg.app();
-        let ty = msg.ty();
-        let origin = msg.origin();
-        let bytes = msg.wire_len() as u64;
-        let pushed = {
-            let node = self.nodes.get_mut(&owner).expect("owner exists");
-            let link = node.links.get_mut(&dest).expect("just created");
-            if from_upstream.is_some() && !link.has_space() {
-                false
-            } else {
-                link.queue.push_back(msg);
-                true
+            return Ok(());
+        };
+        // Create the link lazily.
+        let l = match open {
+            Some(l) => l,
+            None => {
+                let l = self.create_link(owner, dest_idx);
+                self.deliver_local(
+                    owner,
+                    Msg::control(MsgType::DownstreamJoined, dest, msg.app()),
+                );
+                l
             }
         };
-        if pushed {
-            if is_data {
-                if let Some(node) = self.nodes.get_mut(&owner) {
-                    node.note_app_downstream(app, dest);
-                }
-            }
-            self.metrics.record_sent(owner, ty, bytes, self.now);
-            // Flow accounting mirrors the engine's stage flush: keyed by
-            // the message's origin, this hop's destination, and kind.
-            if let Some(node) = self.nodes.get(&owner) {
-                node.tel.record_flow(origin, dest, ty.to_wire(), 1, bytes);
-            }
-            self.kick_link(owner, dest);
+        let link = &mut self.links[l.ix()];
+        if from.is_some() && !link.has_space() {
+            return Err(msg);
         }
-        pushed
+        let (ty, app, bytes) = (msg.ty(), msg.app(), msg.wire_len() as u64);
+        // Flow accounting mirrors the engine's stage flush: keyed by
+        // the message's origin, this hop's destination, and kind.
+        let flow = FlowKey {
+            src: msg.origin(),
+            dst: dest,
+            kind: ty.to_wire(),
+        };
+        link.queue.push_back(msg);
+        if ty == MsgType::Data {
+            self.nodes[owner.ix()].note_app_downstream(app, dest);
+        }
+        self.metrics.record_sent(owner, ty, bytes, self.now);
+        self.flow_batch.push((flow, 1, bytes));
+        self.kick_link(l);
+        Ok(())
     }
 
-    fn create_link(&mut self, owner: NodeId, dest: NodeId) {
-        let (dest_down, dest_total) = {
-            let d = self.nodes.get(&dest).expect("dest exists");
-            (d.down_bucket.clone(), d.total_bucket.clone())
-        };
-        let latency = self.latency_for(owner, dest);
-        let preset = self.link_rate_presets.get(&(owner, dest)).copied();
-        let node = self.nodes.get_mut(&owner).expect("owner exists");
-        let mut chain = BucketChain::new();
-        chain.push(node.up_bucket.clone());
-        chain.push(node.total_bucket.clone());
-        chain.push(dest_down);
-        chain.push(dest_total);
-        let mut link = DirectedLink::new(node.recv_cap, chain, latency, self.config.link_window);
-        if let Some(rate) = preset {
-            link.set_link_rate(Some(rate), self.now);
+    /// Records the flow observations of the sends `owner` just made.
+    fn flush_flows(&mut self, owner: NodeIdx) {
+        if !self.flow_batch.is_empty() {
+            self.nodes[owner.ix()]
+                .tel
+                .record_flow_batch(&self.flow_batch);
+            self.flow_batch.clear();
         }
-        node.links.insert(dest, link);
-        node.tel.record_connect(self.now, dest, true);
+    }
+
+    /// The record of the directed pair, created (both halves closed) on
+    /// first mention.
+    fn link_record(&mut self, from: NodeIdx, to: NodeIdx) -> LinkIdx {
+        if let Some(l) = self.metrics.dir.link(from, to) {
+            return l;
+        }
+        let l = self.metrics.add_link(from, to);
+        let ends = |idx: NodeIdx| (idx, self.nodes[idx.ix()].id);
+        self.links.push(DirectedLink::new(ends(from), ends(to)));
+        debug_assert_eq!(self.links.len(), self.metrics.dir.link_count());
+        l
+    }
+
+    /// Opens the sender half of `owner -> dest`.
+    fn create_link(&mut self, owner: NodeIdx, dest: NodeIdx) -> LinkIdx {
+        let l = self.link_record(owner, dest);
+        let owner_id = self.nodes[owner.ix()].id;
+        let d = &mut self.nodes[dest.ix()];
+        let (dest_id, dest_down, dest_total) = (d.id, d.down_bucket, d.total_bucket);
+        d.attach_incoming(owner_id, l);
+        let latency = self.latency_for(owner_id, dest_id);
+        let node = &mut self.nodes[owner.ix()];
+        let link = &mut self.links[l.ix()];
+        link.open_tx(
+            node.recv_cap,
+            [node.up_bucket, node.total_bucket, dest_down, dest_total],
+            latency,
+            self.config.link_window,
+        );
+        if let Some(&rate) = self.link_rate_presets.get(&(owner_id, dest_id)) {
+            link.set_link_rate(Some(rate), self.now, &mut self.buckets);
+        }
+        let pos = node
+            .out_pos(dest_id)
+            .expect_err("an open link is never created twice");
+        node.outgoing.insert(
+            pos,
+            OutLink {
+                peer: dest_id,
+                link: l,
+            },
+        );
+        node.tel.record_connect(self.now, dest_id, true);
+        l
     }
 
     /// Starts as many transmissions as the link's window allows.
-    fn kick_link(&mut self, from: NodeId, to: NodeId) {
+    fn kick_link(&mut self, l: LinkIdx) {
+        let now = self.now;
         loop {
-            let Some(link) = self.nodes.get_mut(&from).and_then(|n| n.links.get_mut(&to))
-            else {
-                return;
-            };
-            if !link.can_transmit() || !link.stalled.is_empty() {
+            let link = &mut self.links[l.ix()];
+            if !link.tx_open || !link.can_transmit() || !link.stalled.is_empty() {
                 return;
             }
             let msg = link.queue.pop_front().expect("can_transmit checked");
             let bytes = msg.wire_len() as u64;
-            let delay = link.chain.reserve(bytes, self.now);
+            let delay = self.buckets.reserve(link.chain(), bytes, now);
             link.outstanding += 1;
-            let latency = link.latency;
             if let Some(c) = msg.trace().filter(ioverlay_api::TraceContext::is_sampled) {
-                let now = self.now;
-                if let Some(node) = self.nodes.get(&from) {
-                    // Same stage sequence as a real sender thread:
-                    // serialize (instantaneous in the model), an optional
-                    // token-bucket wait, then the socket write.
-                    node.tel.record_hop_span(
-                        from,
-                        Some(to),
+                // Same stage sequence as a real sender thread:
+                // serialize (instantaneous in the model), an optional
+                // token-bucket wait, then the socket write.
+                let tel = &self.nodes[link.from.ix()].tel;
+                let span = |stage, start, end| {
+                    tel.record_hop_span(
+                        link.from_id,
+                        Some(link.to_id),
                         c.trace_id,
                         c.parent_span,
-                        ioverlay_telemetry::SpanStage::Serialize,
-                        now,
-                        now,
+                        stage,
+                        start,
+                        end,
                     );
-                    if delay > 0 {
-                        node.tel.record_hop_span(
-                            from,
-                            Some(to),
-                            c.trace_id,
-                            c.parent_span,
-                            ioverlay_telemetry::SpanStage::BucketWait,
-                            now,
-                            now + delay,
-                        );
-                    }
-                    node.tel.record_hop_span(
-                        from,
-                        Some(to),
-                        c.trace_id,
-                        c.parent_span,
-                        ioverlay_telemetry::SpanStage::Write,
-                        now + delay,
-                        now + delay,
-                    );
+                };
+                span(SpanStage::Serialize, now, now);
+                if delay > 0 {
+                    span(SpanStage::BucketWait, now, now + delay);
                 }
+                span(SpanStage::Write, now + delay, now + delay);
             }
-            self.events.schedule(
-                self.now + delay + latency,
-                Event::Arrival { from, to, msg },
-            );
+            let at = now + delay + link.latency;
+            let msg = self.msgs.insert(msg);
+            self.schedule(at, Event::Arrival { link: l, msg });
         }
     }
 
     /// Delivers an engine-internal event message directly to a node's
     /// algorithm queue (bypassing the data path).
-    fn deliver_local(&mut self, node_id: NodeId, msg: Msg) {
-        if let Some(node) = self.nodes.get_mut(&node_id) {
-            if node.alive {
-                node.local_inbox.push_back(msg);
-                self.events.schedule(self.now, Event::Process(node_id));
-            }
+    fn deliver_local(&mut self, idx: NodeIdx, msg: Msg) {
+        if self.alive[idx.ix()] {
+            self.nodes[idx.ix()].local_inbox.push_back(msg);
+            self.schedule(self.now, Event::Process(idx));
         }
     }
 
-    fn handle_measure_tick(&mut self, node_id: NodeId) {
-        let Some(node) = self.nodes.get(&node_id) else {
-            return;
-        };
-        if !node.alive {
+    fn handle_measure_tick(&mut self, idx: NodeIdx) {
+        if !self.alive[idx.ix()] {
             return;
         }
-        let downstreams: Vec<NodeId> = node.links.keys().copied().collect();
-        let upstreams: Vec<NodeId> = node.recv_queues.keys().copied().collect();
-        let recv_depth: u64 = node.recv_queues.values().map(|q| q.len() as u64).sum();
-        let send_depth: u64 = node.links.values().map(|l| l.depth() as u64).sum();
+        let node = &self.nodes[idx.ix()];
+        let now = self.now;
+        let id = node.id;
+        let (upstreams, recv_depth) = self.upstreams(node).fold((0, 0), |(n, depth), (_, l)| {
+            (n + 1, depth + l.recv.len() as u64)
+        });
+        let send_depth: u64 = node
+            .outgoing
+            .iter()
+            .map(|e| self.links[e.link.ix()].depth() as u64)
+            .sum();
         node.tel
-            .set_link_gauges(upstreams.len() as u64, downstreams.len() as u64);
+            .set_link_gauges(upstreams, node.outgoing.len() as u64);
         node.tel.set_queue_gauges(recv_depth, send_depth);
         // Close a series window on the virtual tick, after the gauges so
         // the high-water marks are at least this tick's depths.
-        node.tel.sample_series(self.now);
-        let now = self.now;
-        for peer in downstreams {
-            let kbps = self.metrics.link_kbps(node_id, peer, now);
-            let payload = ThroughputPayload {
-                peer,
-                direction: LinkDirection::Downstream,
-                kbps,
-                lost_msgs: 0,
-            };
-            let msg = Msg::new(MsgType::DownThroughput, node_id, 0, 0, payload.encode());
-            self.deliver_local(node_id, msg);
+        node.tel.sample_series(now);
+        // Reports only queue messages and events; neither link list
+        // changes under the two loops.
+        for i in 0..self.nodes[idx.ix()].outgoing.len() {
+            let OutLink { peer, link } = self.nodes[idx.ix()].outgoing[i];
+            self.report_throughput(idx, id, peer, link, LinkDirection::Downstream);
         }
-        for peer in upstreams {
-            let kbps = self.metrics.link_kbps(peer, node_id, now);
-            let payload = ThroughputPayload {
-                peer,
-                direction: LinkDirection::Upstream,
-                kbps,
-                lost_msgs: 0,
-            };
-            let msg = Msg::new(MsgType::UpThroughput, node_id, 0, 0, payload.encode());
-            self.deliver_local(node_id, msg);
+        for i in 0..self.nodes[idx.ix()].incoming.len() {
+            let entry = self.nodes[idx.ix()].incoming[i];
+            if self.links[entry.link.ix()].rx_open {
+                self.report_throughput(idx, id, entry.peer, entry.link, LinkDirection::Upstream);
+            }
         }
-        self.events.schedule(
-            self.now + self.config.measure_interval,
-            Event::MeasureTick(node_id),
-        );
+        self.schedule(now + self.config.measure_interval, Event::MeasureTick(idx));
     }
 
-    fn handle_kill(&mut self, node_id: NodeId) {
-        let peers: Vec<NodeId> = {
-            let Some(node) = self.nodes.get_mut(&node_id) else {
-                return;
-            };
-            if !node.alive {
-                return;
-            }
-            node.alive = false;
-            node.local_inbox.clear();
-            // Everything buffered toward downstreams dies with the node.
-            let downstreams: Vec<NodeId> = node.links.keys().copied().collect();
-            for d in &downstreams {
-                if let Some(link) = node.links.get_mut(d) {
-                    link.drop_all();
-                }
-            }
-            let mut all: Vec<NodeId> = downstreams;
-            all.extend(node.recv_queues.keys().copied());
-            node.recv_queues.clear();
-            all
+    /// Delivers one periodic throughput report about `link` to `idx`.
+    fn report_throughput(
+        &mut self,
+        idx: NodeIdx,
+        id: NodeId,
+        peer: NodeId,
+        link: LinkIdx,
+        direction: LinkDirection,
+    ) {
+        let payload = ThroughputPayload {
+            peer,
+            direction,
+            kbps: self.metrics.link_kbps_at(link, self.now),
+            lost_msgs: 0,
         };
-        // Peers that send *to* the dead node also need to notice.
-        let senders: Vec<NodeId> = self
-            .nodes
-            .iter()
-            .filter(|(_, n)| n.alive && n.links.contains_key(&node_id))
-            .map(|(&id, _)| id)
-            .collect();
-        let mut notify: Vec<NodeId> = peers;
-        notify.extend(senders);
+        let ty = match direction {
+            LinkDirection::Downstream => MsgType::DownThroughput,
+            LinkDirection::Upstream => MsgType::UpThroughput,
+        };
+        self.deliver_local(idx, Msg::new(ty, id, 0, 0, payload.encode()));
+    }
+
+    fn handle_kill(&mut self, idx: NodeIdx) {
+        if !std::mem::replace(&mut self.alive[idx.ix()], false) {
+            return;
+        }
+        let node = &mut self.nodes[idx.ix()];
+        node.local_inbox.clear();
+        // Peers to tell: downstreams and upstreams, whatever their state.
+        let mut notify: Vec<(NodeId, NodeIdx)> = Vec::new();
+        // Everything buffered toward downstreams dies with the node.
+        for out in &node.outgoing {
+            let link = &mut self.links[out.link.ix()];
+            link.drop_all();
+            notify.push((out.peer, link.to));
+        }
+        // Peers that send *to* the dead node also need to notice, if
+        // they live. Every link toward this node is on its incoming
+        // list, so there is no need to look at the other nodes.
+        for entry in &node.incoming {
+            let link = &mut self.links[entry.link.ix()];
+            if link.rx_open {
+                link.rx_open = false;
+                link.recv.clear();
+                notify.push((entry.peer, link.from));
+            } else if link.tx_open && self.alive[link.from.ix()] {
+                notify.push((entry.peer, link.from));
+            }
+        }
+        node.ready_inputs = 0;
         notify.sort_unstable();
         notify.dedup();
-        for peer in notify {
-            if peer == node_id {
-                continue;
-            }
-            self.events.schedule(
-                self.now + self.config.failure_detect_delay,
+        let at = self.now + self.config.failure_detect_delay;
+        for (_, peer) in notify {
+            self.schedule(
+                at,
                 Event::LinkFailureDetected {
                     survivor: peer,
-                    failed: node_id,
+                    failed: idx,
                 },
             );
         }
@@ -1170,68 +1246,221 @@ impl Sim {
     /// A peer disappeared (failure) or departed (graceful close): tear
     /// down both directions of state toward it, notify the algorithm, and
     /// run the domino for any application the peer was feeding.
-    fn handle_peer_gone(&mut self, survivor: NodeId, gone: NodeId, abrupt: bool) {
-        if !self.nodes.get(&survivor).is_some_and(|n| n.alive) {
+    fn handle_peer_gone(&mut self, survivor: NodeIdx, gone: NodeIdx, abrupt: bool) {
+        if !self.alive[survivor.ix()] {
             return;
         }
-        let (was_upstream, lost, broken_apps): (bool, u64, Vec<u32>) = {
-            let node = self.nodes.get_mut(&survivor).expect("alive");
-            let lost = match node.links.remove(&gone) {
-                Some(mut link) if abrupt => link.drop_all(),
-                Some(mut link) => {
-                    // Graceful: buffered messages are flushed in the real
-                    // engine; in the model we simply drop the link whose
-                    // queue is typically empty by the time of the close.
-                    link.drop_all()
-                }
-                None => 0,
-            };
-            let was_upstream = node.recv_queues.remove(&gone).is_some();
-            node.wrr.remove(&gone);
-            node.blocked.remove(&gone);
-            for set in node.app_downstreams.values_mut() {
-                set.remove(&gone);
+        let now = self.now;
+        let gone_id = self.nodes[gone.ix()].id;
+        let node = &mut self.nodes[survivor.ix()];
+        let survivor_id = node.id;
+        // The sender half toward the peer. (A graceful close flushes
+        // buffered messages in the real engine; in the model the queue
+        // is typically empty by the time of the close, and whatever is
+        // left is dropped without counting as lost.)
+        if let Ok(pos) = node.out_pos(gone_id) {
+            let l = node.outgoing.remove(pos).link;
+            let link = &mut self.links[l.ix()];
+            let lost = link.drop_all();
+            link.tx_open = false;
+            if lost > 0 && abrupt {
+                self.metrics.record_lost(Some(l), lost);
             }
-            // Which applications lose their (only) upstream?
-            let mut broken = Vec::new();
-            for (app, ups) in node.app_upstreams.iter_mut() {
-                if ups.remove(&gone) && ups.is_empty() {
-                    broken.push(*app);
-                }
+            self.prune_incoming(l);
+        }
+        // The receiver half from the peer, its weight and its blocked
+        // fanouts.
+        let node = &mut self.nodes[survivor.ix()];
+        let mut was_upstream = false;
+        if let Ok(pos) = node.in_pos(gone_id) {
+            let l = node.incoming[pos].link;
+            node.incoming[pos].in_wrr = false;
+            let link = &mut self.links[l.ix()];
+            was_upstream = link.rx_open;
+            link.rx_open = false;
+            node.ready_inputs -= u32::from(!link.recv.is_empty());
+            link.recv.clear();
+            if !link.blocked.is_empty() {
+                link.blocked.clear();
+                node.blocked_links -= 1;
             }
-            node.tel.record_disconnect(self.now, gone);
-            for app in &broken {
-                node.tel.record_domino_teardown(self.now, *app);
+            self.prune_incoming(l);
+        }
+        // Which applications lose their (only) upstream?
+        let node = &mut self.nodes[survivor.ix()];
+        let mut broken_apps = Vec::new();
+        for route in &mut node.routes {
+            remove_sorted(&mut route.downs, gone_id);
+            if remove_sorted(&mut route.ups, gone_id) && route.ups.is_empty() {
+                broken_apps.push(route.app);
             }
-            (was_upstream, lost, broken)
-        };
-        if lost > 0 && abrupt {
-            self.metrics.record_lost(survivor, gone, lost);
+        }
+        node.tel.record_disconnect(now, gone_id);
+        for &app in &broken_apps {
+            node.tel.record_domino_teardown(now, app);
         }
         // Notify the algorithm of the failed/closed neighbor.
-        let direction_app = 0;
-        self.deliver_local(
-            survivor,
-            Msg::control(MsgType::NeighborFailed, gone, direction_app),
-        );
+        self.deliver_local(survivor, Msg::control(MsgType::NeighborFailed, gone_id, 0));
         // Domino: propagate BrokenSource for orphaned applications.
         if was_upstream {
             for app in broken_apps {
-                let downstreams: Vec<NodeId> = self
-                    .nodes
-                    .get_mut(&survivor)
-                    .and_then(|n| n.app_downstreams.remove(&app))
-                    .map(|s| s.into_iter().collect())
-                    .unwrap_or_default();
-                for dest in downstreams {
-                    let broken = Msg::control(MsgType::BrokenSource, survivor, app);
-                    self.enqueue_send(survivor, dest, broken, None);
+                for dest in self.nodes[survivor.ix()].take_app_downstreams(app) {
+                    let broken = Msg::control(MsgType::BrokenSource, survivor_id, app);
+                    let _ = self.enqueue_send(survivor, dest, broken, None);
                 }
-                self.deliver_local(
-                    survivor,
-                    Msg::control(MsgType::BrokenSource, gone, app),
-                );
+                self.deliver_local(survivor, Msg::control(MsgType::BrokenSource, gone_id, app));
+            }
+            self.flush_flows(survivor);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ioverlay_api::Context;
+
+    const MS: Nanos = 1_000_000;
+
+    fn n(port: u16) -> NodeId {
+        NodeId::loopback(port)
+    }
+
+    /// Forwards data to fixed destinations; closes its first link on a
+    /// `SLeave`.
+    struct Fwd(Vec<NodeId>);
+
+    impl Algorithm for Fwd {
+        fn on_message(&mut self, ctx: &mut dyn Context, msg: Msg) {
+            match msg.ty() {
+                MsgType::Data => {
+                    for &d in &self.0 {
+                        ctx.send(msg.clone(), d);
+                    }
+                }
+                MsgType::SLeave => ctx.close_link(self.0[0]),
+                _ => {}
             }
         }
+    }
+
+    fn add(sim: &mut Sim, port: u16, dests: &[u16]) {
+        let dests = dests.iter().map(|&p| n(p)).collect();
+        sim.add_node(n(port), NodeBandwidth::unlimited(), Box::new(Fwd(dests)));
+    }
+
+    fn data(port: u16) -> Msg {
+        Msg::data(n(port), 1, 0, vec![0u8; 32])
+    }
+
+    /// Who a full scan of the simulation would tell that `dead` died:
+    /// its downstreams, the upstreams it holds a receive buffer for, and
+    /// every live node with an open link toward it.
+    fn scan_for_peers(sim: &Sim, dead: NodeId) -> Vec<NodeId> {
+        let mut peers = sim.downstreams_of(dead);
+        peers.extend(sim.upstreams_of(dead));
+        for node in &sim.nodes {
+            if sim.is_alive(node.id) && node.out_link(dead).is_some() {
+                peers.push(node.id);
+            }
+        }
+        peers.sort_unstable();
+        peers.dedup();
+        peers
+    }
+
+    #[test]
+    fn kill_notifies_the_peers_a_full_scan_finds() {
+        let mut sim = SimBuilder::new(1)
+            .latency_ms(10)
+            .failure_detect_ms(50)
+            .build();
+        // X = 10 forwards to 11. Toward X: 1 delivered; 2 delivered, then
+        // 2 closed its half; 3 delivered, then 3 died; 4 died with its
+        // only message still in flight; 5 still in flight; 6 unrelated.
+        add(&mut sim, 11, &[]);
+        add(&mut sim, 10, &[11]);
+        for port in 1..=5 {
+            add(&mut sim, port, &[10]);
+        }
+        add(&mut sim, 6, &[11]);
+        for port in [1, 2, 3, 6] {
+            sim.inject(0, n(port), data(port));
+        }
+        sim.run_until(30 * MS);
+        sim.inject(sim.now(), n(2), Msg::control(MsgType::SLeave, n(2), 0));
+        sim.kill_at(sim.now(), n(3));
+        sim.run_until(35 * MS);
+        sim.inject(sim.now(), n(4), data(4));
+        sim.run_until(38 * MS);
+        sim.kill_at(sim.now(), n(4));
+        sim.inject(sim.now(), n(5), data(5));
+        sim.run_until(39 * MS);
+        assert_eq!(
+            sim.upstreams_of(n(10)),
+            vec![n(1), n(2), n(3)],
+            "4 and 5 are in flight"
+        );
+        assert_eq!(
+            sim.downstreams_of(n(2)),
+            Vec::<NodeId>::new(),
+            "2 closed its half"
+        );
+        assert!(!sim.is_alive(n(3)) && !sim.is_alive(n(4)));
+
+        let expected = scan_for_peers(&sim, n(10));
+        assert_eq!(expected, vec![n(1), n(2), n(3), n(5), n(11)]);
+        // Only the kill is handled; what it scheduled stays queued.
+        let idx = sim.node_idx(n(10)).unwrap();
+        sim.handle_kill(idx);
+        let mut notified = Vec::new();
+        while let Some((at, event)) = sim.events.pop() {
+            // (The deaths of 3 and 4 are still being detected, too.)
+            match event {
+                Event::LinkFailureDetected { survivor, failed } if failed == idx => {
+                    assert_eq!(at, sim.now() + 50 * MS);
+                    notified.push(sim.nodes[survivor.ix()].id);
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(notified, expected, "same peers, in address order");
+    }
+
+    #[test]
+    fn an_unused_incoming_entry_is_pruned_and_a_weighted_one_kept() {
+        let mut sim = SimBuilder::new(1).latency_ms(5).build();
+        add(&mut sim, 10, &[]);
+        add(&mut sim, 1, &[10]);
+        add(&mut sim, 2, &[10]);
+        sim.set_switch_weight(n(10), n(2), 3);
+        for port in [1, 2] {
+            sim.inject(0, n(port), data(port));
+        }
+        sim.run_until(20 * MS);
+        assert_eq!(sim.upstreams_of(n(10)), vec![n(1), n(2)]);
+        for port in [1, 2] {
+            sim.inject(
+                sim.now(),
+                n(port),
+                Msg::control(MsgType::SLeave, n(port), 0),
+            );
+        }
+        sim.run_until(40 * MS);
+        assert!(sim.upstreams_of(n(10)).is_empty(), "both closes arrived");
+        let x = &sim.nodes[sim.node_idx(n(10)).unwrap().ix()];
+        assert!(
+            x.incoming.is_empty(),
+            "no half open, no weight: nothing to keep"
+        );
+        // A weight set for a node that never connected keeps its entry.
+        sim.set_switch_weight(n(10), n(2), 0);
+        let x = &sim.nodes[sim.node_idx(n(10)).unwrap().ix()];
+        assert_eq!(x.incoming.len(), 1);
+        assert_eq!((x.incoming[0].peer, x.wrr_len()), (n(2), 1));
+        assert!(
+            sim.upstreams_of(n(10)).is_empty(),
+            "a weight is not a buffer"
+        );
     }
 }

@@ -117,15 +117,15 @@ pub struct EventRing {
 
 impl EventRing {
     /// Creates a ring retaining at most `capacity` records (min 1).
+    ///
+    /// The ring starts without storage and grows as records arrive, up
+    /// to `capacity`: most nodes of a large simulation never come near
+    /// it, and reserving it up front cost every node the full ring.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
-            records: Mutex::new(
-                &sync::classes::TELEMETRY_EVENTS,
-                VecDeque::with_capacity(capacity),
-            ),
+            records: Mutex::new(&sync::classes::TELEMETRY_EVENTS, VecDeque::new()),
         }
     }
 
@@ -196,6 +196,22 @@ mod tests {
         let records = ring.to_vec();
         assert_eq!(records[0].at, 3);
         assert_eq!(records[1].at, 4);
+    }
+
+    #[test]
+    fn capacity_is_a_bound_not_a_reservation() {
+        let ring = EventRing::new(3);
+        assert_eq!(ring.capacity(), 3, "known before anything is pushed");
+        assert!(ring.is_empty());
+        for app in 0..10u32 {
+            ring.push(u64::from(app), TelemetryEvent::DominoTeardown { app });
+            assert!(ring.len() <= 3);
+        }
+        assert_eq!(ring.capacity(), 3);
+        let kept: Vec<u64> = ring.to_vec().iter().map(|r| r.at).collect();
+        assert_eq!(kept, vec![7, 8, 9], "the oldest go first");
+        assert_eq!(ring.dropped(), 7);
+        assert_eq!(EventRing::new(0).capacity(), 1, "a ring holds at least one");
     }
 
     #[test]

@@ -114,17 +114,15 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    /// Creates a ring retaining at most `capacity` spans (min 1).
+    /// Creates a ring retaining at most `capacity` spans (min 1). Like
+    /// [`crate::EventRing::new`], it reserves nothing and grows on
+    /// demand up to `capacity`.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            capacity: capacity.max(1),
             dropped: AtomicU64::new(0),
             next_idx: AtomicU64::new(0),
-            records: Mutex::new(
-                &sync::classes::TELEMETRY_SPANS,
-                VecDeque::with_capacity(capacity),
-            ),
+            records: Mutex::new(&sync::classes::TELEMETRY_SPANS, VecDeque::new()),
         }
     }
 
@@ -238,6 +236,22 @@ mod tests {
         let spans = ring.to_vec();
         assert_eq!(spans[0].idx, 3);
         assert_eq!(spans[1].idx, 4);
+    }
+
+    #[test]
+    fn capacity_is_a_bound_not_a_reservation() {
+        let ring = SpanRing::new(3);
+        assert_eq!(ring.capacity(), 3, "known before anything is pushed");
+        assert!(ring.is_empty());
+        for i in 0..10u64 {
+            ring.push(span(1, SpanStage::Write, i, i));
+            assert!(ring.len() <= 3);
+        }
+        assert_eq!(ring.capacity(), 3);
+        let kept: Vec<u64> = ring.to_vec().iter().map(|s| s.idx).collect();
+        assert_eq!(kept, vec![7, 8, 9], "the oldest go first");
+        assert_eq!(ring.dropped(), 7);
+        assert_eq!(SpanRing::new(0).capacity(), 1, "a ring holds at least one");
     }
 
     #[test]

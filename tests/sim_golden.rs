@@ -404,18 +404,16 @@ impl Algorithm for Chatty {
             }
             MsgType::Custom(CHATTER) => self.chatter_in += 1,
             MsgType::Pong => self.pongs += 1,
-            MsgType::UpThroughput | MsgType::DownThroughput => {
-                if !self.children.is_empty() {
-                    let pick = (ctx.random_u64() % self.children.len() as u64) as usize;
-                    let note = Msg::new(
-                        MsgType::Custom(CHATTER),
-                        ctx.local_id(),
-                        9,
-                        pick as u32,
-                        vec![1u8; 16],
-                    );
-                    ctx.send(note, self.children[pick]);
-                }
+            MsgType::UpThroughput | MsgType::DownThroughput if !self.children.is_empty() => {
+                let pick = (ctx.random_u64() % self.children.len() as u64) as usize;
+                let note = Msg::new(
+                    MsgType::Custom(CHATTER),
+                    ctx.local_id(),
+                    9,
+                    pick as u32,
+                    vec![1u8; 16],
+                );
+                ctx.send(note, self.children[pick]);
             }
             MsgType::NeighborFailed => {
                 self.failed.push(msg.origin().to_string());
