@@ -24,7 +24,7 @@
 //!   bandwidth, ignoring load;
 //! * [`Policy::Random`] — baseline: uniformly random instance.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ioverlay_api::{Algorithm, AppId, Context, Msg, MsgType, NodeId};
 use serde::{Deserialize, Serialize};
@@ -220,7 +220,9 @@ pub struct FederationNode {
     /// The service instance hosted here, if any: (type, advertised KBps).
     hosted: Option<(ServiceType, f64)>,
     registry: BTreeMap<ServiceType, BTreeMap<NodeId, InstanceInfo>>,
-    sessions: HashMap<AppId, SessionRole>,
+    /// Ordered: a source hosting several sessions pumps them into the
+    /// shared send buffers in session order, so runs repeat exactly.
+    sessions: BTreeMap<AppId, SessionRole>,
     epoch: u64,
     /// Load value included in the most recent announcement; periodic
     /// refreshes are skipped while it is unchanged, so a quiet overlay
@@ -238,7 +240,7 @@ impl FederationNode {
             policy,
             hosted: None,
             registry: BTreeMap::new(),
-            sessions: HashMap::new(),
+            sessions: BTreeMap::new(),
             epoch: 0,
             last_announced_load: None,
             concluded: Vec::new(),

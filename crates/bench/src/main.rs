@@ -69,7 +69,6 @@ fn run_one(id: &str) -> bool {
             let mode = match parts.next() {
                 Some("batched") => switch_bench::ChainMode::Batched,
                 Some("reactor") => switch_bench::ChainMode::Reactor,
-                Some("permsg") => switch_bench::ChainMode::PerMessage,
                 _ => return false,
             };
             let secs: u64 = parts.next().and_then(|v| v.parse().ok()).unwrap_or(3);

@@ -1,15 +1,15 @@
-//! Batched-switching benchmark: per-message baseline vs batched fast
-//! path vs the sharded reactor backend on the same 3-node relay chain,
-//! plus the link-count scaling sweep — emitted as `BENCH_switch.json`.
+//! Relay-chain benchmark: the batched link pipeline on blocking
+//! thread-per-link I/O vs the sharded reactor backend on the same
+//! 3-node relay chain, plus the link-count scaling sweep — emitted as
+//! `BENCH_switch.json`.
 //!
 //! The chain is the Fig. 5 primitive (source → relay → sink over real
 //! loopback TCP through full [`EngineNode`]s); the relay exercises every
 //! batched layer at once — `pop_batch` in the switch, staged sends
-//! flushed with `push_batch`, and the sender thread's one-write-per-
-//! batch encode path. The baseline pins every batch size to one, which
-//! restores the seed's per-message behavior. The reactor configuration
-//! keeps the batched settings but carries the sockets on shard workers
-//! ([`IoBackend::Reactor`]) instead of thread-per-link.
+//! flushed with `push_batch`, and the link pipeline's one reservation
+//! and one vectored write per batch. The reactor configuration carries
+//! the same pipeline on shard workers ([`IoBackend::Reactor`]) instead
+//! of thread-per-link.
 //!
 //! The batched configuration runs four ways — telemetry on (health
 //! plane included), telemetry off, health plane off, and telemetry on
@@ -51,11 +51,9 @@ pub struct SwitchPoint {
 /// Chain configurations under comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChainMode {
-    /// All batch sizes pinned to one: the seed's behavior.
-    PerMessage,
-    /// The batched fast path on blocking thread-per-link I/O.
+    /// Blocking thread-per-link I/O (the default backend).
     Batched,
-    /// The batched fast path on the sharded reactor backend.
+    /// The sharded reactor backend.
     Reactor,
 }
 
@@ -79,18 +77,14 @@ pub fn run_chain(
 ) -> SwitchPoint {
     const APP: u32 = 1;
     let config = || {
-        // Deep buffers keep the relay backlogged — the regime the batched
-        // fast path is built for (batches only form under backlog).
+        // Deep buffers keep the relay backlogged — the regime batching
+        // is built for (batches only form under backlog).
         let c = EngineConfig::default()
             .with_buffer_msgs(4096)
             .with_telemetry(telemetry)
             .with_health(health)
             .with_trace_sample(trace_sample);
         match mode {
-            ChainMode::PerMessage => c
-                .with_switch_quantum(1)
-                .with_send_batch_max(1)
-                .with_recv_batched(false),
             ChainMode::Batched => c,
             ChainMode::Reactor => c.with_io_backend(IoBackend::Reactor),
         }
@@ -173,10 +167,9 @@ fn paired_overhead(off: &[SwitchPoint], on: &[SwitchPoint]) -> (f64, f64) {
 pub fn run(measure_secs: u64, sweep: &[usize]) {
     banner(
         "switch",
-        "batched switching fast path vs per-message baseline (3-node relay chain)",
+        "3-node relay chain: blocking vs reactor backend, instrumentation overheads",
     );
     let msg_bytes = 256;
-    let baseline = run_chain(ChainMode::PerMessage, true, true, 0, msg_bytes, measure_secs);
     // The gated configurations run in interleaved rounds rather than
     // three back-to-back runs per mode: host throughput drifts in
     // multi-second "eras", and consecutive runs would let one era land
@@ -210,7 +203,6 @@ pub fn run(measure_secs: u64, sweep: &[usize]) {
         row(&["mode".into(), "msgs/sec".into(), "MB/sec".into()], &widths)
     );
     for (name, p) in [
-        ("per-message", baseline),
         ("batched", batched),
         ("batched tel-off", batched_tel_off),
         ("batched health-off", batched_health_off),
@@ -229,11 +221,6 @@ pub fn run(measure_secs: u64, sweep: &[usize]) {
             )
         );
     }
-    let speedup = if baseline.msgs_per_sec > 0.0 {
-        batched.msgs_per_sec / baseline.msgs_per_sec
-    } else {
-        f64::INFINITY
-    };
     // Telemetry overhead: the fully instrumented chain against the
     // otherwise-identical telemetry-off chain. Health overhead: the
     // default chain (health plane on) against the health-off chain
@@ -247,9 +234,8 @@ pub fn run(measure_secs: u64, sweep: &[usize]) {
         paired_overhead(&health_off_runs, &batched_runs);
     let (trace_overhead_pct, trace_overhead_spread_pct) =
         paired_overhead(&batched_runs, &traced_runs);
-    println!("\nspeedup (msgs/sec): {speedup:.2}x");
     println!(
-        "telemetry overhead: {telemetry_overhead_pct:.2}% msgs/sec \
+        "\ntelemetry overhead: {telemetry_overhead_pct:.2}% msgs/sec \
          (spread {telemetry_overhead_spread_pct:.2}%)"
     );
     println!(
@@ -296,10 +282,6 @@ pub fn run(measure_secs: u64, sweep: &[usize]) {
         "msg_bytes": msg_bytes,
         "measure_secs": measure_secs,
         "comparison_runs": 3,
-        "per_message": {
-            "msgs_per_sec": baseline.msgs_per_sec,
-            "mb_per_sec": baseline.mb_per_sec,
-        },
         "batched": {
             "msgs_per_sec": batched.msgs_per_sec,
             "mb_per_sec": batched.mb_per_sec,
@@ -320,7 +302,6 @@ pub fn run(measure_secs: u64, sweep: &[usize]) {
             "msgs_per_sec": reactor.msgs_per_sec,
             "mb_per_sec": reactor.mb_per_sec,
         },
-        "speedup_msgs_per_sec": speedup,
         "telemetry_overhead_pct": telemetry_overhead_pct,
         "telemetry_overhead_spread_pct": telemetry_overhead_spread_pct,
         "health_overhead_pct": health_overhead_pct,

@@ -23,6 +23,11 @@ pub enum IoBackend {
 /// The defaults mirror the paper's experimental setup: 10-message
 /// buffers, one-second measurement intervals, and no emulated bandwidth
 /// limits.
+///
+/// How a link batches, paces and serializes its traffic is not
+/// configurable: both backends run the one pipeline of `link.rs` with
+/// fixed batch sizes. [`EngineConfig::io_backend`] is the only choice
+/// between two data paths.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Port to listen on; 0 lets the OS choose (*"the port number may be
@@ -45,33 +50,11 @@ pub struct EngineConfig {
     pub observer: Option<NodeId>,
     /// RNG seed for the algorithm-visible randomness.
     pub seed: u64,
-    /// How many messages the switch drains from the chosen upstream per
-    /// `pop_batch` — the batch that amortizes one queue-lock round-trip
-    /// and one wakeup across many messages. Values above the buffer
-    /// capacity are harmless (a batch can never exceed what is queued).
-    pub switch_quantum: usize,
-    /// Most messages a sender thread drains, encodes, and writes as one
-    /// batch (one bucket reservation, one socket write). `1` restores
-    /// the per-message sender path — the benchmark baseline.
-    pub send_batch_max: usize,
-    /// When `true` (default), receiver threads read the socket in large
-    /// chunks through the incremental decoder and enqueue whole batches.
-    /// `false` restores per-message reads — the benchmark baseline.
-    pub recv_batched: bool,
-    /// When `true` (default), both I/O backends use the vectored wire
-    /// path: senders gather each batch's `(header, payload)` segments
-    /// into one `writev` without copying payloads into a staging
-    /// buffer, and receivers `readv` large payloads straight into the
-    /// buffer the decoded message will reference. `false` restores the
-    /// copying encode-buffer path — the benchmark baseline.
-    pub wire_vectored: bool,
     /// When `true` (default), the node records metrics and events into
     /// its [`ioverlay_telemetry::NodeTelemetry`] registry. `false`
     /// reduces every recording site to one predictable branch — the
     /// `repro switch` overhead baseline.
     pub telemetry: bool,
-    /// Capacity of the bounded telemetry event ring.
-    pub telemetry_events: usize,
     /// Distributed-tracing sample rate: every `trace_sample`-th locally
     /// originated `Data` message is traced hop by hop (its header grows
     /// by the trace extension and every hop records pipeline spans).
@@ -120,12 +103,7 @@ impl Default for EngineConfig {
             inactivity_timeout: None,
             observer: None,
             seed: 0,
-            switch_quantum: 64,
-            send_batch_max: 128,
-            recv_batched: true,
-            wire_vectored: true,
             telemetry: true,
-            telemetry_events: ioverlay_telemetry::DEFAULT_EVENT_CAPACITY,
             trace_sample: 0,
             io_backend: IoBackend::Blocking,
             reactor_shards: default_reactor_shards(),
@@ -180,42 +158,9 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the per-upstream switching batch size (builder style).
-    pub fn with_switch_quantum(mut self, quantum: usize) -> Self {
-        self.switch_quantum = quantum.max(1);
-        self
-    }
-
-    /// Sets the sender-thread batch size (builder style); `1` means
-    /// per-message sends.
-    pub fn with_send_batch_max(mut self, max: usize) -> Self {
-        self.send_batch_max = max.max(1);
-        self
-    }
-
-    /// Enables or disables chunked (batched) receiver reads (builder
-    /// style); `false` means per-message reads.
-    pub fn with_recv_batched(mut self, batched: bool) -> Self {
-        self.recv_batched = batched;
-        self
-    }
-
-    /// Enables or disables the vectored wire path (builder style);
-    /// `false` restores the copying encode-buffer path.
-    pub fn with_wire_vectored(mut self, vectored: bool) -> Self {
-        self.wire_vectored = vectored;
-        self
-    }
-
     /// Enables or disables telemetry recording (builder style).
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
-        self
-    }
-
-    /// Sets the telemetry event-ring capacity (builder style).
-    pub fn with_telemetry_events(mut self, capacity: usize) -> Self {
-        self.telemetry_events = capacity.max(1);
         self
     }
 
@@ -294,9 +239,7 @@ mod tests {
         assert_eq!(cfg.buffer_msgs, 10);
         assert!(cfg.bandwidth.is_unlimited());
         assert!(cfg.inactivity_timeout.is_none());
-        assert!(cfg.wire_vectored, "vectored wire path is the default");
         assert!(cfg.telemetry, "telemetry records by default");
-        assert!(cfg.telemetry_events >= 1);
         assert_eq!(cfg.trace_sample, 0, "tracing is opt-in");
         assert_eq!(
             cfg.io_backend,
@@ -316,18 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_builders() {
-        let cfg = EngineConfig::default()
-            .with_telemetry(false)
-            .with_telemetry_events(0);
+    fn telemetry_builder() {
+        let cfg = EngineConfig::default().with_telemetry(false);
         assert!(!cfg.telemetry);
-        assert_eq!(cfg.telemetry_events, 1, "ring capacity floors at one");
-    }
-
-    #[test]
-    fn wire_vectored_builder() {
-        let cfg = EngineConfig::default().with_wire_vectored(false);
-        assert!(!cfg.wire_vectored);
     }
 
     #[test]

@@ -25,10 +25,16 @@ use rand::SeedableRng;
 
 use crate::config::{EngineConfig, IoBackend};
 use crate::ctx::{EngineCtx, StagedEffects};
+use crate::link::LinkEnv;
 use crate::peer::{
     connect_to_peer, run_receiver, run_sender, ControlEvent, ReceiverLink, SenderLink,
 };
 use crate::shard::{LinkDir, ShardPool};
+
+/// Most messages the switch drains from the chosen upstream per
+/// `pop_batch` — the batch that amortizes one queue-lock round-trip and
+/// one wakeup across many messages.
+const SWITCH_QUANTUM: usize = 64;
 
 /// Rate standing in for "unlimited".
 fn unlimited_rate() -> Rate {
@@ -121,7 +127,10 @@ impl EngineState {
         let bw = config.bandwidth;
         let seed = config.seed ^ u64::from(id.port());
         let measure = config.measure_interval;
-        let tel = Arc::new(NodeTelemetry::new(config.telemetry, config.telemetry_events));
+        let tel = Arc::new(NodeTelemetry::new(
+            config.telemetry,
+            ioverlay_telemetry::DEFAULT_EVENT_CAPACITY,
+        ));
         Self {
             id,
             config,
@@ -168,15 +177,7 @@ impl EngineState {
         if self.config.io_backend != IoBackend::Reactor {
             return;
         }
-        match ShardPool::new(
-            self.id,
-            self.config.reactor_shards,
-            self.clock.clone(),
-            self.events_tx.clone(),
-            self.tel.clone(),
-            self.config.send_batch_max,
-            self.config.wire_vectored,
-        ) {
+        match ShardPool::new(&self.link_env(), self.config.reactor_shards) {
             Ok(pool) => {
                 self.tel.set_reactor_shards(pool.shards() as u64);
                 self.pool = Some(pool);
@@ -189,6 +190,16 @@ impl EngineState {
 
     fn now(&self) -> Nanos {
         self.clock.now()
+    }
+
+    /// The handles every socket worker of this node shares.
+    pub(crate) fn link_env(&self) -> LinkEnv {
+        LinkEnv {
+            local: self.id,
+            clock: self.clock.clone(),
+            events: self.events_tx.clone(),
+            tel: self.tel.clone(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -231,8 +242,6 @@ impl EngineState {
         // dispatches flush once per switch quantum, local dispatches
         // flush at the end of this call (so a pump emitting hundreds of
         // messages in one callback still pays one lock per destination).
-        // `send_batch_max == 1` pins local sends to the per-message path.
-        let stage_local = self.config.send_batch_max > 1;
         for (mut msg, dest) in staged.sends {
             // Tracing sampler: every `trace_sample`-th locally
             // originated data message starts a trace here, at the one
@@ -251,11 +260,7 @@ impl EngineState {
                     self.tel.start_trace(self.id, &mut msg, now);
                 }
             }
-            if from_upstream.is_some() || stage_local {
-                self.send_stage.entry(dest).or_default().push(msg);
-            } else {
-                let _ = self.enqueue_send(dest, msg, None);
-            }
+            self.send_stage.entry(dest).or_default().push(msg);
         }
         for msg in staged.observer_msgs {
             if let Some(observer) = self.config.observer {
@@ -334,111 +339,72 @@ impl EngineState {
         accepted
     }
 
-    /// Dials `dest` and spawns its sender thread. On failure, notifies
-    /// the algorithm with `NeighborFailed` and returns `false`.
+    /// Opens the persistent link to `dest`. On any failure notifies the
+    /// algorithm with `NeighborFailed` and returns `false`.
     fn open_sender(&mut self, dest: NodeId) -> bool {
-        match connect_to_peer(self.id, dest, self.config.socket_buf_bytes) {
-            Ok(stream) => {
-                let queue = CircularQueue::with_capacity(self.config.buffer_msgs);
-                let meter = Arc::new(Mutex::new(
-                    &classes::ENGINE_METER,
-                    ThroughputMeter::new(
-                    self.config.measure_window,
-                )));
-                let link_bucket = make_bucket(None, self.now());
-                let mut chain = BucketChain::new();
-                chain.push(link_bucket.clone());
-                chain.push(self.up_bucket.clone());
-                chain.push(self.total_bucket.clone());
-                self.link_buckets.insert(dest, link_bucket);
-                if let Some(pool) = self.pool.clone() {
-                    // Reactor backend: the link's socket joins a shard
-                    // instead of getting a dedicated sender thread.
-                    let shard_stream = stream
-                        .try_clone()
-                        .and_then(|s| s.set_nonblocking(true).map(|()| s));
-                    let Ok(shard_stream) = shard_stream else {
-                        self.link_buckets.remove(&dest);
-                        self.local_inbox
-                            .push_back(Msg::control(MsgType::NeighborFailed, dest, 0));
-                        self.tel.record_connect_failed(self.now(), dest);
-                        return false;
-                    };
-                    pool.add_sender(dest, shard_stream, queue.clone(), meter.clone(), chain);
-                    // The shard clone is the link's only long-lived fd;
-                    // dropping the dial handle keeps reactor links at
-                    // one descriptor each (teardown goes through
-                    // `ShardPool::remove`, not a socket shutdown).
-                    drop(stream);
-                    self.senders.insert(
-                        dest,
-                        SenderLink {
-                            queue,
-                            pending: VecDeque::new(),
-                            meter,
-                            stream: None,
-                            thread: None,
-                        },
-                    );
-                    self.local_inbox
-                        .push_back(Msg::control(MsgType::DownstreamJoined, dest, 0));
-                    self.tel.record_connect(self.now(), dest, true);
-                    return true;
-                }
-                let spawned = {
-                    let Ok(stream) = stream.try_clone() else {
-                        self.link_buckets.remove(&dest);
-                        return false;
-                    };
-                    let queue = queue.clone();
-                    let meter = meter.clone();
-                    let clock = self.clock.clone();
-                    let events = self.events_tx.clone();
-                    let max_batch = self.config.send_batch_max;
-                    let vectored = self.config.wire_vectored;
-                    let tel = self.tel.clone();
-                    let local = self.id;
-                    thread::Builder::new()
-                        .name(format!("snd-{dest}"))
-                        .spawn(move || {
-                            run_sender(
-                                local, dest, stream, queue, meter, chain, clock, events,
-                                max_batch, vectored, tel,
-                            );
-                        })
-                };
-                let Ok(thread) = spawned else {
-                    // Thread-resource exhaustion is a failure signal
-                    // like a failed dial, not a reason to panic the
-                    // engine: undo the link and notify the algorithm.
-                    self.link_buckets.remove(&dest);
-                    self.local_inbox
-                        .push_back(Msg::control(MsgType::NeighborFailed, dest, 0));
-                    self.tel.record_connect_failed(self.now(), dest);
-                    return false;
-                };
-                self.senders.insert(
-                    dest,
-                    SenderLink {
-                        queue,
-                        pending: VecDeque::new(),
-                        meter,
-                        stream: Some(stream),
-                        thread: Some(thread),
-                    },
-                );
+        match self.dial_sender(dest) {
+            Ok(link) => {
+                self.senders.insert(dest, link);
                 self.local_inbox
                     .push_back(Msg::control(MsgType::DownstreamJoined, dest, 0));
                 self.tel.record_connect(self.now(), dest, true);
                 true
             }
             Err(_) => {
-                self.local_inbox
-                    .push_back(Msg::control(MsgType::NeighborFailed, dest, 0));
-                self.tel.record_connect_failed(self.now(), dest);
+                self.sender_failed(dest);
                 false
             }
         }
+    }
+
+    /// The one failure path of [`Self::open_sender`]: whatever step
+    /// failed (dial, descriptor or thread exhaustion), the half-built
+    /// link is undone and the algorithm learns its message was dropped.
+    fn sender_failed(&mut self, dest: NodeId) {
+        self.link_buckets.remove(&dest);
+        self.local_inbox
+            .push_back(Msg::control(MsgType::NeighborFailed, dest, 0));
+        self.tel.record_connect_failed(self.now(), dest);
+    }
+
+    /// Dials `dest` and hands the connection to its I/O worker: a shard
+    /// on the reactor backend, a dedicated sender thread otherwise.
+    fn dial_sender(&mut self, dest: NodeId) -> std::io::Result<SenderLink> {
+        let stream = connect_to_peer(self.id, dest, self.config.socket_buf_bytes)?;
+        let queue = CircularQueue::with_capacity(self.config.buffer_msgs);
+        let meter = Arc::new(Mutex::new(
+            &classes::ENGINE_METER,
+            ThroughputMeter::new(self.config.measure_window),
+        ));
+        let link_bucket = make_bucket(None, self.now());
+        let mut chain = BucketChain::new();
+        chain.push(link_bucket.clone());
+        chain.push(self.up_bucket.clone());
+        chain.push(self.total_bucket.clone());
+        self.link_buckets.insert(dest, link_bucket);
+        let (stream, thread) = if let Some(pool) = &self.pool {
+            // The shard owns the link's only descriptor (teardown goes
+            // through `ShardPool::remove`, not a socket shutdown).
+            stream.set_nonblocking(true)?;
+            pool.add(LinkDir::Send, dest, stream, queue.clone(), meter.clone(), chain);
+            (None, None)
+        } else {
+            // Thread-resource exhaustion is a failure signal like a
+            // failed dial, not a reason to panic the engine.
+            let io = stream.try_clone()?;
+            let (env, queue, meter) = (self.link_env(), queue.clone(), meter.clone());
+            let thread = thread::Builder::new()
+                .name(format!("snd-{dest}"))
+                .spawn(move || run_sender(env, dest, io, queue, meter, chain))?;
+            (Some(stream), Some(thread))
+        };
+        Ok(SenderLink {
+            queue,
+            pending: VecDeque::new(),
+            meter,
+            stream,
+            thread,
+        })
     }
 
     /// Moves parked local messages into sender buffers as space frees.
@@ -606,7 +572,7 @@ impl EngineState {
         let mut batch: Vec<Msg> = Vec::new();
         while moved < budget {
             let Some(up) = self.pick_upstream() else { break };
-            let quantum = self.config.switch_quantum.max(1).min(budget - moved);
+            let quantum = SWITCH_QUANTUM.min(budget - moved);
             let (n, occupancy) = match self.receivers.get_mut(&up) {
                 // Occupancy is observed under the pop's own lock: the
                 // telemetry sample costs no extra queue round-trip.
@@ -1177,20 +1143,12 @@ fn handle_event(state: &mut EngineState, event: ControlEvent) {
 /// blocked `accept` with a self-connection (see
 /// [`crate::EngineNode::shutdown`]), after which the `running` flag —
 /// re-checked on every accept — ends the loop.
-#[allow(clippy::too_many_arguments)] // thread entry point: takes its full wiring
 pub(crate) fn run_listener(
-    local: NodeId,
+    env: LinkEnv,
     listener: TcpListener,
-    buffer_msgs: usize,
-    measure_window: Nanos,
-    down_chain_template: (SharedBucket, SharedBucket),
-    clock: Arc<SystemClock>,
-    events: Sender<ControlEvent>,
+    config: Arc<EngineConfig>,
+    down_chain: BucketChain,
     running: Arc<AtomicBool>,
-    recv_batched: bool,
-    wire_vectored: bool,
-    socket_buf: Option<usize>,
-    tel: Arc<NodeTelemetry>,
     pool: Option<ShardPool>,
 ) {
     while running.load(Ordering::Acquire) {
@@ -1200,30 +1158,11 @@ pub(crate) fn run_listener(
                     // The shutdown wake, not a peer: drop it and exit.
                     break;
                 }
-                let events = events.clone();
-                let clock = clock.clone();
-                let (down, total) = down_chain_template.clone();
-                let tel = tel.clone();
-                let pool = pool.clone();
+                let (env, config) = (env.clone(), config.clone());
+                let (down_chain, pool) = (down_chain.clone(), pool.clone());
                 let spawned = thread::Builder::new()
-                    .name(format!("acc-{local}"))
-                    .spawn(move || {
-                        handle_accepted(
-                            local,
-                            stream,
-                            buffer_msgs,
-                            measure_window,
-                            down,
-                            total,
-                            clock,
-                            events,
-                            recv_batched,
-                            wire_vectored,
-                            socket_buf,
-                            tel,
-                            pool,
-                        );
-                    });
+                    .name(format!("acc-{}", env.local))
+                    .spawn(move || handle_accepted(env, stream, &config, down_chain, pool));
                 // On spawn failure (thread-resource exhaustion) the
                 // accepted stream is dropped (moved into the dead
                 // closure), so the peer observes a close — its failure
@@ -1239,24 +1178,18 @@ pub(crate) fn run_listener(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Serves one accepted connection: an HTTP scrape, a one-shot control
+/// session, or (after `Hello`) a persistent upstream link whose
+/// traffic `down_chain` paces.
 fn handle_accepted(
-    local: NodeId,
+    env: LinkEnv,
     stream: TcpStream,
-    buffer_msgs: usize,
-    measure_window: Nanos,
-    down_bucket: SharedBucket,
-    total_bucket: SharedBucket,
-    clock: Arc<SystemClock>,
-    events: Sender<ControlEvent>,
-    recv_batched: bool,
-    wire_vectored: bool,
-    socket_buf: Option<usize>,
-    tel: Arc<NodeTelemetry>,
+    config: &EngineConfig,
+    down_chain: BucketChain,
     pool: Option<ShardPool>,
 ) {
     let _ = stream.set_nodelay(true);
-    if let Some(bytes) = socket_buf {
+    if let Some(bytes) = config.socket_buf_bytes {
         // Best effort: an uncapped link still works, just with
         // autotuned (potentially huge) kernel buffers.
         let _ = reactor::sockopt::set_socket_buffers(&stream, bytes);
@@ -1267,7 +1200,7 @@ fn handle_accepted(
     if scrape::sniff_http_get(&stream) {
         let io_backend = if pool.is_some() { "reactor" } else { "blocking" };
         let shards = pool.as_ref().map(|p| p.shards() as u64).unwrap_or(0);
-        serve_node_scrape(&stream, &events, &clock, &tel, io_backend, shards);
+        serve_node_scrape(&stream, &env, io_backend, shards);
         return;
     }
     // Peek at the first message without buffered read-ahead so the
@@ -1277,14 +1210,11 @@ fn handle_accepted(
     };
     if first.ty() == MsgType::Hello {
         let peer = first.origin();
-        let queue = CircularQueue::with_capacity(buffer_msgs);
+        let queue = CircularQueue::with_capacity(config.buffer_msgs);
         let meter = Arc::new(Mutex::new(
             &classes::ENGINE_METER,
-            ThroughputMeter::new(measure_window),
+            ThroughputMeter::new(config.measure_window),
         ));
-        let mut chain = BucketChain::new();
-        chain.push(down_bucket);
-        chain.push(total_bucket);
         // The blocking backend keeps a dup'd handle engine-side so
         // teardown can shut the socket down under the blocked receiver
         // thread; a shard-owned socket needs no second fd (the pool
@@ -1297,7 +1227,8 @@ fn handle_accepted(
                 Err(_) => return,
             }
         };
-        if events
+        if env
+            .events
             .send(ControlEvent::UpstreamOpened {
                 peer,
                 queue: queue.clone(),
@@ -1312,27 +1243,15 @@ fn handle_accepted(
             // Reactor backend: the socket joins its shard and this
             // accept thread exits immediately — upstream I/O costs no
             // standing thread.
-            pool.add_receiver(peer, stream, queue, meter, chain);
+            pool.add(LinkDir::Recv, peer, stream, queue, meter, down_chain);
             return;
         }
-        run_receiver(
-            local,
-            peer,
-            stream,
-            queue,
-            meter,
-            chain,
-            clock,
-            events,
-            recv_batched,
-            wire_vectored,
-            tel,
-        );
+        run_receiver(env, peer, stream, queue, meter, down_chain);
     } else {
         // One-shot control session: forward every message until EOF.
-        let _ = events.send(ControlEvent::Incoming(first));
+        let _ = env.events.send(ControlEvent::Incoming(first));
         while let Ok(Some(msg)) = read_msg(&stream) {
-            if events.send(ControlEvent::Incoming(msg)).is_err() {
+            if env.events.send(ControlEvent::Incoming(msg)).is_err() {
                 break;
             }
         }
@@ -1345,14 +1264,10 @@ fn handle_accepted(
 /// [`ControlEvent::StatusRequest`] reply channel the local handle uses,
 /// so a scrape sees exactly what the observer would: link state,
 /// per-link throughput, and the full telemetry snapshot.
-fn serve_node_scrape(
-    stream: &TcpStream,
-    events: &Sender<ControlEvent>,
-    clock: &SystemClock,
-    tel: &NodeTelemetry,
-    io_backend: &str,
-    shards: u64,
-) {
+fn serve_node_scrape(stream: &TcpStream, env: &LinkEnv, io_backend: &str, shards: u64) {
+    let LinkEnv {
+        clock, events, tel, ..
+    } = env;
     let Some(path) = scrape::read_request_path(stream) else {
         return;
     };
@@ -1485,6 +1400,26 @@ mod tests {
             .iter()
             .any(|m| m.ty() == MsgType::NeighborFailed && m.origin() == ghost));
         assert!(state.senders.is_empty());
+    }
+
+    /// Every way `open_sender` can fail after the dial (descriptor or
+    /// thread exhaustion, a socket that will not go non-blocking) ends
+    /// here with a link bucket already registered.
+    #[test]
+    fn the_one_sender_failure_path_cleans_up_and_notifies() {
+        let (mut state, _seen) = state();
+        let dest = NodeId::loopback(2);
+        state.link_buckets.insert(dest, make_bucket(None, 0));
+        state.sender_failed(dest);
+        assert!(state.link_buckets.is_empty(), "half-built link undone");
+        assert!(state.senders.is_empty());
+        let failed: Vec<&Msg> = state
+            .local_inbox
+            .iter()
+            .filter(|m| m.ty() == MsgType::NeighborFailed && m.origin() == dest)
+            .collect();
+        assert_eq!(failed.len(), 1, "the algorithm hears of it exactly once");
+        assert_eq!(state.tel.snapshot().counter("connect_failures"), Some(1));
     }
 
     #[test]

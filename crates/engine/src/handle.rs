@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use crossbeam_channel::{bounded, unbounded, Sender};
 use ioverlay_api::{Algorithm, Msg, NodeId, StatusReport};
+use ioverlay_ratelimit::BucketChain;
 
 use crate::config::EngineConfig;
 use crate::engine::{run_engine, run_listener, EngineState};
@@ -47,37 +48,16 @@ impl EngineNode {
         state.init_io_backend();
         let running = Arc::new(AtomicBool::new(true));
         let listener_thread = {
-            let clock = state.clock.clone();
-            let events = events_tx.clone();
+            let env = state.link_env();
+            let config = Arc::new(config);
             let running = running.clone();
-            let down = state.down_bucket.clone();
-            let total = state.total_bucket.clone();
-            let buffer_msgs = config.buffer_msgs;
-            let window = config.measure_window;
-            let recv_batched = config.recv_batched;
-            let wire_vectored = config.wire_vectored;
-            let socket_buf = config.socket_buf_bytes;
-            let tel = state.tel.clone();
+            let mut down_chain = BucketChain::new();
+            down_chain.push(state.down_bucket.clone());
+            down_chain.push(state.total_bucket.clone());
             let pool = state.pool.clone();
             thread::Builder::new()
                 .name(format!("lsn-{id}"))
-                .spawn(move || {
-                    run_listener(
-                        id,
-                        listener,
-                        buffer_msgs,
-                        window,
-                        (down, total),
-                        clock,
-                        events,
-                        running,
-                        recv_batched,
-                        wire_vectored,
-                        socket_buf,
-                        tel,
-                        pool,
-                    );
-                })?
+                .spawn(move || run_listener(env, listener, config, down_chain, running, pool))?
         };
         let engine_thread = thread::Builder::new()
             .name(format!("eng-{id}"))

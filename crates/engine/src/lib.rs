@@ -59,6 +59,7 @@ mod ctx;
 mod engine;
 mod flight;
 mod handle;
+mod link;
 mod peer;
 mod shard;
 mod sync;

@@ -1,6 +1,6 @@
 //! Receiver and sender threads for persistent peer connections.
 
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, TcpStream};
 use crate::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -8,30 +8,12 @@ use std::time::Duration;
 
 use crossbeam_channel::Sender;
 use ioverlay_api::{Msg, MsgType, NodeId};
-use ioverlay_message::{write_msg, Decoder, WireBatch};
+use ioverlay_message::{write_msg, Decoder};
 use ioverlay_queue::{CircularQueue, PopTimeout};
-use ioverlay_ratelimit::{BucketChain, Clock, SystemClock, ThroughputMeter};
-use ioverlay_telemetry::{NodeTelemetry, SpanStage};
+use ioverlay_ratelimit::{BucketChain, Clock, ThroughputMeter};
+
+use crate::link::{LinkEnv, Outbound, RECV_CHUNK, SEND_BATCH_MAX};
 use crate::sync::{check_blocking, Mutex};
-
-/// Collects the `(trace_id, hop span id)` pairs of the sampled messages
-/// in a sender batch (empty almost always; tracing is opt-in sampled).
-pub(crate) fn traced_in_batch(batch: &[Msg], tel: &NodeTelemetry) -> Vec<(u64, u64)> {
-    if !tel.enabled() {
-        return Vec::new();
-    }
-    batch
-        .iter()
-        .filter_map(|m| {
-            m.trace()
-                .filter(ioverlay_message::TraceContext::is_sampled)
-                .map(|c| (c.trace_id, c.parent_span))
-        })
-        .collect()
-}
-
-/// Socket read chunk size feeding the receiver's incremental decoder.
-const RECV_CHUNK: usize = 64 * 1024;
 
 /// Longest uninterrupted slice of a token-bucket reservation sleep.
 const RESERVE_SLICE: Duration = Duration::from_millis(10);
@@ -141,118 +123,43 @@ impl ReceiverLink {
     }
 }
 
-/// Runs a receiver thread: blocking chunked reads from a persistent
-/// connection, decoded incrementally (zero-copy) and pushed into the
+/// Runs a receiver thread: blocking reads from a persistent connection
+/// straight into the incremental decoder (large payloads `readv` into
+/// the buffer the decoded message will reference), pushed into the
 /// bounded receive buffer a batch at a time. Blocking on a full buffer
 /// is what stops the TCP window and propagates back pressure upstream.
-///
-/// `batched == false` selects the per-message path (one `read_msg`, one
-/// bucket reservation, one push per message) — the benchmark baseline.
-/// `vectored` selects `readv` into split payload/stream buffers over
-/// chunk reads plus a decoder-internal copy.
-#[allow(clippy::too_many_arguments)] // thread entry point: takes its full wiring
 pub(crate) fn run_receiver(
-    local: NodeId,
+    env: LinkEnv,
     peer: NodeId,
     mut stream: TcpStream,
     queue: CircularQueue<Msg>,
     meter: Arc<Mutex<ThroughputMeter>>,
     down_chain: BucketChain,
-    clock: Arc<SystemClock>,
-    events: Sender<ControlEvent>,
-    batched: bool,
-    vectored: bool,
-    tel: Arc<NodeTelemetry>,
 ) {
-    if !batched {
-        run_receiver_per_message(
-            local, peer, stream, queue, meter, down_chain, clock, events, tel,
-        );
-        return;
-    }
     let mut decoder = Decoder::new();
-    let mut chunk = if vectored {
-        Vec::new()
-    } else {
-        vec![0u8; RECV_CHUNK]
-    };
     let mut batch: Vec<Msg> = Vec::new();
     'conn: loop {
-        let read = if vectored {
-            decoder.read_from(&mut stream, RECV_CHUNK)
-        } else {
-            stream.read(&mut chunk)
+        // A clean EOF and a socket error both mean the upstream is gone
+        // (an EOF inside a message loses framing anyway), and so does a
+        // malformed header.
+        let drained = match decoder.read_from(&mut stream, RECV_CHUNK) {
+            Ok(0) | Err(_) => None,
+            Ok(n) => env.drain(&mut decoder, n, &mut batch).ok(),
         };
-        let n = match read {
-            // A clean EOF and a socket error both mean the upstream is
-            // gone (an EOF inside a message loses framing anyway).
-            Ok(0) | Err(_) => {
-                let _ = events.send(ControlEvent::UpstreamFailed(peer));
-                break;
-            }
-            Ok(n) => n,
+        let Some(inbound) = drained else {
+            let _ = env.events.send(ControlEvent::UpstreamFailed(peer));
+            break;
         };
-        // Start of the recv/decode window for any sampled message in
-        // this chunk (the blocking read above is network wait, not
-        // processing time).
-        let recv_start = if tel.enabled() { clock.now() } else { 0 };
-        if !vectored {
-            decoder.feed(&chunk[..n]);
-        }
-        let mut bytes_total = 0u64;
-        let mut traced = false;
-        loop {
-            match decoder.next_msg() {
-                Ok(Some(msg)) => {
-                    bytes_total += msg.wire_len() as u64;
-                    traced |= msg.trace().is_some();
-                    batch.push(msg);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Malformed header: framing is lost for good.
-                    let _ = events.send(ControlEvent::UpstreamFailed(peer));
-                    break 'conn;
-                }
-            }
-        }
-        tel.record_recv_chunk(n as u64);
         if batch.is_empty() {
             continue; // mid-message: keep reading
         }
-        tel.record_recv_msgs(batch.len() as u64);
-        if traced {
-            let recv_end = clock.now();
-            for msg in &mut batch {
-                tel.record_recv_span(local, peer, msg, recv_start, recv_end);
-            }
-        }
-        // Downlink emulation: one reservation paces the whole batch,
-        // exactly like the paper's wrapped recv paces each message.
-        let wait_start = clock.now();
-        let delay = down_chain.reserve(bytes_total, wait_start);
-        if delay > 0 {
-            tel.record_bucket_wait(delay);
-            if traced {
-                for (trace_id, span_id) in traced_in_batch(&batch, &tel) {
-                    tel.record_hop_span(
-                        local,
-                        Some(peer),
-                        trace_id,
-                        span_id,
-                        SpanStage::BucketWait,
-                        wait_start,
-                        wait_start + delay,
-                    );
-                }
-            }
-        }
+        let delay = env.admit(peer, &down_chain, &mut batch, &inbound, env.clock.now());
         if !sleep_reservation(delay, &queue) {
             break; // engine closed the link
         }
         meter
             .lock()
-            .record_batch(bytes_total, batch.len() as u64, clock.now());
+            .record_batch(inbound.bytes, batch.len() as u64, env.clock.now());
         let was_empty = queue.is_empty();
         // Batch enqueue, falling back to a blocking push when full so
         // back pressure still stalls the read loop (and the TCP window).
@@ -265,71 +172,7 @@ pub(crate) fn run_receiver(
             }
         }
         if was_empty {
-            let _ = events.send(ControlEvent::DataAvailable);
-        }
-    }
-}
-
-/// The pre-batching receiver loop: one blocking `read_msg`, one bucket
-/// reservation, one meter sample, and one queue push per message. Kept
-/// as the benchmark baseline (`EngineConfig::recv_batched == false`).
-#[allow(clippy::too_many_arguments)] // thread entry point: takes its full wiring
-fn run_receiver_per_message(
-    local: NodeId,
-    peer: NodeId,
-    stream: TcpStream,
-    queue: CircularQueue<Msg>,
-    meter: Arc<Mutex<ThroughputMeter>>,
-    down_chain: BucketChain,
-    clock: Arc<SystemClock>,
-    events: Sender<ControlEvent>,
-    tel: Arc<NodeTelemetry>,
-) {
-    let mut reader = io::BufReader::new(stream);
-    loop {
-        match ioverlay_message::read_msg(&mut reader) {
-            Ok(Some(mut msg)) => {
-                let bytes = msg.wire_len() as u64;
-                tel.record_recv_chunk(bytes);
-                tel.record_recv_msgs(1);
-                if msg.trace().is_some() {
-                    let t = clock.now();
-                    tel.record_recv_span(local, peer, &mut msg, t, t);
-                }
-                let wait_start = clock.now();
-                let delay = down_chain.reserve(bytes, wait_start);
-                if delay > 0 {
-                    tel.record_bucket_wait(delay);
-                    if let Some(ctx) =
-                        msg.trace().filter(ioverlay_message::TraceContext::is_sampled)
-                    {
-                        tel.record_hop_span(
-                            local,
-                            Some(peer),
-                            ctx.trace_id,
-                            ctx.parent_span,
-                            SpanStage::BucketWait,
-                            wait_start,
-                            wait_start + delay,
-                        );
-                    }
-                }
-                if !sleep_reservation(delay, &queue) {
-                    break; // engine closed the link
-                }
-                meter.lock().record(bytes, clock.now());
-                let was_empty = queue.is_empty();
-                if queue.push(msg).is_err() {
-                    break; // engine closed the link
-                }
-                if was_empty {
-                    let _ = events.send(ControlEvent::DataAvailable);
-                }
-            }
-            Ok(None) | Err(_) => {
-                let _ = events.send(ControlEvent::UpstreamFailed(peer));
-                break;
-            }
+            let _ = env.events.send(ControlEvent::DataAvailable);
         }
     }
 }
@@ -337,108 +180,47 @@ fn run_receiver_per_message(
 /// Runs a sender thread: pops a batch from the bounded send buffer
 /// (sleeping when empty, woken by the engine thread via the queue's
 /// condvar), applies uplink emulation once for the batch total, stages
-/// every message into one reused [`WireBatch`], and flushes it with
-/// blocking (vectored) writes. On the vectored path each payload goes
-/// from the message's own buffer to the kernel — the staging copy of
-/// the contiguous path disappears.
+/// every message into one reused gather list, and flushes it with
+/// blocking vectored writes.
 ///
 /// Batches only form under backlog: an idle link takes the same path
 /// with a batch of one, so a lone message is encoded and written (hence
 /// flushed) immediately — the flush-on-idle latency guarantee.
-#[allow(clippy::too_many_arguments)] // thread entry point: takes its full wiring
 pub(crate) fn run_sender(
-    local: NodeId,
+    env: LinkEnv,
     peer: NodeId,
     mut stream: TcpStream,
     queue: CircularQueue<Msg>,
     meter: Arc<Mutex<ThroughputMeter>>,
     up_chain: BucketChain,
-    clock: Arc<SystemClock>,
-    events: Sender<ControlEvent>,
-    max_batch: usize,
-    vectored: bool,
-    tel: Arc<NodeTelemetry>,
 ) {
-    let max_batch = max_batch.max(1);
     let mut batch: Vec<Msg> = Vec::new();
-    let mut wire = WireBatch::new(vectored);
+    let mut out = Outbound::default();
     loop {
         match queue.pop_timeout(Duration::from_millis(100)) {
             PopTimeout::Item(first) => {
                 batch.push(first);
-                queue.pop_batch(max_batch - 1, &mut batch);
+                queue.pop_batch(SEND_BATCH_MAX - 1, &mut batch);
                 // Only this thread pops, so `len + popped >= capacity`
                 // exactly when the buffer was full before the pop — the
                 // engine may be parked on it with blocked fan-outs.
                 if queue.len() + batch.len() >= queue.capacity() {
-                    let _ = events.send(ControlEvent::SendSpace);
+                    let _ = env.events.send(ControlEvent::SendSpace);
                 }
-                // Sampled messages in the batch share this pop's
-                // bucket-wait/serialize/write windows (a batch is one
-                // reservation and one write for all of them).
-                let traced = traced_in_batch(&batch, &tel);
-                let total: u64 = batch.iter().map(|m| m.wire_len() as u64).sum();
-                // Uplink emulation: one reservation for the batch.
-                let wait_start = clock.now();
-                let delay = up_chain.reserve(total, wait_start);
-                if delay > 0 {
-                    tel.record_bucket_wait(delay);
-                    for &(trace_id, span_id) in &traced {
-                        tel.record_hop_span(
-                            local,
-                            Some(peer),
-                            trace_id,
-                            span_id,
-                            SpanStage::BucketWait,
-                            wait_start,
-                            wait_start + delay,
-                        );
-                    }
-                }
+                // Reserve first and serialize after the wait, so the
+                // gather list is built right before its write.
+                env.stage(&batch, &mut out);
+                let delay = env.pace(peer, &up_chain, &out, env.clock.now());
                 if !sleep_reservation(delay, &queue) {
                     break; // closed mid-reservation: teardown in progress
                 }
-                let ser_start = if traced.is_empty() { 0 } else { clock.now() };
-                wire.clear();
-                for msg in &batch {
-                    wire.push(msg);
-                }
-                let write_start = if traced.is_empty() { 0 } else { clock.now() };
-                if !traced.is_empty() {
-                    for &(trace_id, span_id) in &traced {
-                        tel.record_hop_span(
-                            local,
-                            Some(peer),
-                            trace_id,
-                            span_id,
-                            SpanStage::Serialize,
-                            ser_start,
-                            write_start,
-                        );
-                    }
-                }
-                if wire.write_to(&mut stream).is_err() {
-                    let _ = events.send(ControlEvent::DownstreamFailed(peer));
+                env.serialize(peer, &batch, &mut out);
+                let write_start = env.span_now(&out);
+                if out.wire.write_to(&mut stream).is_err() {
+                    let _ = env.events.send(ControlEvent::DownstreamFailed(peer));
                     break;
                 }
-                if !traced.is_empty() {
-                    let write_end = clock.now();
-                    for &(trace_id, span_id) in &traced {
-                        tel.record_hop_span(
-                            local,
-                            Some(peer),
-                            trace_id,
-                            span_id,
-                            SpanStage::Write,
-                            write_start,
-                            write_end,
-                        );
-                    }
-                }
-                tel.record_send_batch(batch.len() as u64, wire.wire_bytes() as u64);
-                meter
-                    .lock()
-                    .record_batch(total, batch.len() as u64, clock.now());
+                env.finish(peer, &out, &meter, write_start);
                 batch.clear();
             }
             // Writes are unbuffered (one write per batch), so there is
@@ -517,19 +299,15 @@ mod tests {
             ThroughputMeter::new(1_000_000_000)));
         let (tx, rx) = unbounded();
         let peer = NodeId::loopback(1);
-        let tel = Arc::new(NodeTelemetry::new(true, 16));
+        let env = LinkEnv::for_test(tx);
+        let tel = env.tel.clone();
         run_receiver(
-            NodeId::loopback(9_100),
+            env,
             peer,
             conn,
             queue.clone(),
             meter.clone(),
             BucketChain::new(),
-            Arc::new(SystemClock::new()),
-            tx,
-            true,
-            true,
-            tel.clone(),
         );
         writer.join().unwrap();
         // One data message arrived, then a failure event.
@@ -555,22 +333,10 @@ mod tests {
         let (tx, _rx) = unbounded();
         let q2 = queue.clone();
         let m2 = meter.clone();
-        let tel = Arc::new(NodeTelemetry::new(true, 16));
-        let t2 = tel.clone();
+        let env = LinkEnv::for_test(tx);
+        let tel = env.tel.clone();
         let sender = thread::spawn(move || {
-            run_sender(
-                NodeId::loopback(9_100),
-                NodeId::loopback(2),
-                out,
-                q2,
-                m2,
-                BucketChain::new(),
-                Arc::new(SystemClock::new()),
-                tx,
-                128,
-                true,
-                t2,
-            );
+            run_sender(env, NodeId::loopback(2), out, q2, m2, BucketChain::new());
         });
         let msg = Msg::data(NodeId::loopback(1), 7, 3, vec![5u8; 100]);
         queue.push(msg.clone()).unwrap();
@@ -601,20 +367,9 @@ mod tests {
             ThroughputMeter::new(1_000_000_000)));
         let (tx, _rx) = unbounded();
         let q2 = queue.clone();
+        let env = LinkEnv::for_test(tx);
         let sender = thread::spawn(move || {
-            run_sender(
-                NodeId::loopback(9_100),
-                NodeId::loopback(2),
-                out,
-                q2,
-                meter,
-                BucketChain::new(),
-                Arc::new(SystemClock::new()),
-                tx,
-                128,
-                true,
-                Arc::new(NodeTelemetry::new(true, 16)),
-            );
+            run_sender(env, NodeId::loopback(2), out, q2, meter, BucketChain::new());
         });
         let mut reader = BufReader::new(conn);
         let mut latencies: Vec<Duration> = Vec::new();

@@ -20,14 +20,18 @@
 //!   the un-read TCP window.
 //! * **egress** — the engine fills the link's send buffer exactly as
 //!   before; the queue's data hook nudges the owning shard, which
-//!   drains a batch, reserves bandwidth once per batch, encodes, and
-//!   issues *non-blocking vectored writes*. `WOULDBLOCK` parks the link
-//!   on write readiness with the staged bytes kept for resumption; a
-//!   drain that found the buffer full emits `SendSpace`, same as the
-//!   blocking sender thread.
+//!   drains a batch, stages it as a gather list, reserves bandwidth
+//!   once per batch, and issues *non-blocking vectored writes*.
+//!   `WOULDBLOCK` parks the link on write readiness with the staged
+//!   bytes kept for resumption; a drain that found the buffer full
+//!   emits `SendSpace`, same as the blocking sender thread.
 //! * **pacing** — a token-bucket delay becomes a timer on the shard's
 //!   deadline heap, never a sleep: one slow emulated link cannot stall
 //!   its shard siblings.
+//!
+//! How a batch is accounted, paced and traced is [`crate::link`]'s, the
+//! same steps the blocking backend runs; this module owns readiness,
+//! timers, interest re-registration and partial-write resumption.
 //!
 //! Shard scheduling is the engine's own recipe one level down: ready
 //! links are serviced in weighted-round-robin order, one read quantum
@@ -39,7 +43,7 @@
 //! hook-fires-before-park interleaving is never lost.
 
 use std::collections::{BTreeSet, BinaryHeap, HashMap, VecDeque};
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use crate::sync::Arc;
 use std::thread::JoinHandle;
@@ -47,20 +51,17 @@ use std::time::Duration;
 
 use crossbeam_channel::{Receiver, Sender, TryRecvError};
 use ioverlay_api::{Msg, Nanos, NodeId};
-use ioverlay_message::{Decoder, WireBatch};
+use ioverlay_message::Decoder;
 use ioverlay_queue::{CircularQueue, WeightedRoundRobin};
-use ioverlay_ratelimit::{BucketChain, Clock, SystemClock, ThroughputMeter};
-use ioverlay_telemetry::{NodeTelemetry, SpanStage};
+use ioverlay_ratelimit::{BucketChain, Clock, ThroughputMeter};
 use reactor::{Events, Interest, Poll, Token, Waker};
 
-use crate::peer::{traced_in_batch, ControlEvent};
+use crate::link::{LinkEnv, Outbound, RECV_CHUNK, SEND_BATCH_MAX};
+use crate::peer::ControlEvent;
 use crate::sync::{check_blocking, classes, Mutex};
 
 /// Token of each shard's waker; link tokens start above it.
 const WAKER_TOKEN: Token = Token(0);
-
-/// Socket read chunk size (mirrors the blocking receiver's).
-const RECV_CHUNK: usize = 64 * 1024;
 
 /// Staged-but-unwritten egress bytes per link above which the shard
 /// stops draining that link's send buffer, so a stalled peer's memory
@@ -81,16 +82,20 @@ pub(crate) enum LinkDir {
     Send,
 }
 
+/// A connection on its way to its shard: the socket plus everything
+/// the link shares with the engine thread.
+struct NewLink {
+    dir: LinkDir,
+    peer: NodeId,
+    stream: TcpStream,
+    queue: CircularQueue<Msg>,
+    meter: Arc<Mutex<ThroughputMeter>>,
+    chain: BucketChain,
+}
+
 /// Registration and teardown requests from the engine/listener threads.
 enum Command {
-    Add {
-        dir: LinkDir,
-        peer: NodeId,
-        stream: TcpStream,
-        queue: CircularQueue<Msg>,
-        meter: Arc<Mutex<ThroughputMeter>>,
-        chain: BucketChain,
-    },
+    Add(NewLink),
     Remove {
         dir: LinkDir,
         peer: NodeId,
@@ -135,15 +140,7 @@ impl ShardPool {
     ///
     /// Any error creating a selector/waker or spawning a worker thread;
     /// partially spawned workers are shut down before returning.
-    pub(crate) fn new(
-        local: NodeId,
-        shards: usize,
-        clock: Arc<SystemClock>,
-        events: Sender<ControlEvent>,
-        tel: Arc<NodeTelemetry>,
-        send_batch_max: usize,
-        wire_vectored: bool,
-    ) -> std::io::Result<ShardPool> {
+    pub(crate) fn new(env: &LinkEnv, shards: usize) -> std::io::Result<ShardPool> {
         let shards = shards.max(1);
         let mut handles = Vec::with_capacity(shards);
         let mut threads = Vec::with_capacity(shards);
@@ -160,12 +157,7 @@ impl ShardPool {
                 poll,
                 signal: Arc::clone(&signal),
                 cmds: cmd_rx,
-                events: events.clone(),
-                clock: Arc::clone(&clock),
-                tel: Arc::clone(&tel),
-                local,
-                send_batch_max: send_batch_max.max(1),
-                wire_vectored,
+                env: env.clone(),
                 links: HashMap::new(),
                 by_peer: HashMap::new(),
                 wrr: WeightedRoundRobin::new(),
@@ -173,13 +165,6 @@ impl ShardPool {
                 timers: BinaryHeap::new(),
                 timer_seq: 0,
                 next_token: WAKER_TOKEN.0 + 1,
-                // The read scratch only backs the non-vectored path;
-                // `read_available` reads into the decoder's own buffers.
-                chunk: if wire_vectored {
-                    Vec::new()
-                } else {
-                    vec![0u8; RECV_CHUNK]
-                },
             };
             let spawned = std::thread::Builder::new()
                 .name(format!("shard-{idx}"))
@@ -229,50 +214,27 @@ impl ShardPool {
         }
     }
 
-    /// Hands an accepted upstream connection (post-`Hello`, set
-    /// non-blocking by the caller) to its shard.
-    pub(crate) fn add_receiver(
+    /// Hands a connection to its shard: an accepted upstream one
+    /// (post-`Hello`) with `LinkDir::Recv`, a dialed downstream one
+    /// (post-handshake) with `LinkDir::Send`.
+    pub(crate) fn add(
         &self,
+        dir: LinkDir,
         peer: NodeId,
         stream: TcpStream,
         queue: CircularQueue<Msg>,
         meter: Arc<Mutex<ThroughputMeter>>,
         chain: BucketChain,
     ) {
-        self.send(
+        let link = NewLink {
+            dir,
             peer,
-            Command::Add {
-                dir: LinkDir::Recv,
-                peer,
-                stream,
-                queue,
-                meter,
-                chain,
-            },
-        );
-    }
-
-    /// Hands a dialed downstream connection (post-handshake, set
-    /// non-blocking by the caller) to its shard.
-    pub(crate) fn add_sender(
-        &self,
-        peer: NodeId,
-        stream: TcpStream,
-        queue: CircularQueue<Msg>,
-        meter: Arc<Mutex<ThroughputMeter>>,
-        chain: BucketChain,
-    ) {
-        self.send(
-            peer,
-            Command::Add {
-                dir: LinkDir::Send,
-                peer,
-                stream,
-                queue,
-                meter,
-                chain,
-            },
-        );
+            stream,
+            queue,
+            meter,
+            chain,
+        };
+        self.send(peer, Command::Add(link));
     }
 
     /// Tears a link's shard registration down (idempotent; the shard
@@ -298,20 +260,6 @@ impl ShardPool {
             let _ = t.join();
         }
     }
-}
-
-/// One staged egress chunk: a batch of messages staged as a
-/// [`WireBatch`] gather list — prefixes plus reference-counted payload
-/// buffers on the vectored path, one contiguous encode otherwise. Its
-/// meter/telemetry sample is recorded when the last byte leaves the
-/// socket; the batch's internal cursor carries partial-write state.
-struct Chunk {
-    batch: WireBatch,
-    bytes: u64,
-    msgs: u64,
-    /// `(trace_id, span_id)` of each sampled message in the chunk; its
-    /// `Write` span is recorded when the last byte leaves the socket.
-    traced: Vec<(u64, u64)>,
 }
 
 enum RecvState {
@@ -341,9 +289,11 @@ struct SendLink {
     queue: CircularQueue<Msg>,
     meter: Arc<Mutex<ThroughputMeter>>,
     chain: BucketChain,
-    /// Staged-but-unwritten chunks; the front may be partially written
-    /// (its `WireBatch` cursor marks the resume point).
-    out: VecDeque<Chunk>,
+    /// Staged-but-unwritten batches; the front may be partially written
+    /// (its gather list's cursor marks the resume point). Each one's
+    /// meter and telemetry sample is recorded when its last byte leaves
+    /// the socket.
+    out: VecDeque<Outbound>,
     out_bytes: usize,
     /// Bandwidth-emulation gate: no write before this instant.
     paced_until: Option<Nanos>,
@@ -361,14 +311,7 @@ struct Shard {
     poll: Poll,
     signal: Arc<ShardSignal>,
     cmds: Receiver<Command>,
-    events: Sender<ControlEvent>,
-    clock: Arc<SystemClock>,
-    tel: Arc<NodeTelemetry>,
-    /// This node's id, stamped into recorded trace spans.
-    local: NodeId,
-    send_batch_max: usize,
-    /// Vectored wire path on (gather-list writes, split-buffer reads).
-    wire_vectored: bool,
+    env: LinkEnv,
     links: HashMap<Token, Link>,
     by_peer: HashMap<(NodeId, LinkDir), Token>,
     /// Round-robin rotor over this shard's receive links.
@@ -379,7 +322,6 @@ struct Shard {
     timers: BinaryHeap<std::cmp::Reverse<(Nanos, u64, Token)>>,
     timer_seq: u64,
     next_token: usize,
-    chunk: Vec<u8>,
 }
 
 impl Shard {
@@ -394,7 +336,7 @@ impl Shard {
                 return;
             }
             if !events.is_empty() {
-                self.tel.record_reactor_wakeup();
+                self.env.tel.record_reactor_wakeup();
             }
             if !self.drain_commands() {
                 return;
@@ -415,7 +357,7 @@ impl Shard {
         let Some(std::cmp::Reverse((at, _, _))) = self.timers.peek() else {
             return IDLE_POLL;
         };
-        let now = self.clock.now();
+        let now = self.env.clock.now();
         Duration::from_nanos(at.saturating_sub(now)).min(IDLE_POLL)
     }
 
@@ -423,14 +365,7 @@ impl Shard {
     fn drain_commands(&mut self) -> bool {
         loop {
             match self.cmds.try_recv() {
-                Ok(Command::Add {
-                    dir,
-                    peer,
-                    stream,
-                    queue,
-                    meter,
-                    chain,
-                }) => self.add_link(dir, peer, stream, queue, meter, chain),
+                Ok(Command::Add(link)) => self.add_link(link),
                 Ok(Command::Remove { dir, peer }) => {
                     if let Some(token) = self.by_peer.remove(&(peer, dir)) {
                         self.drop_link(token);
@@ -442,16 +377,15 @@ impl Shard {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // registration takes a link's full wiring
-    fn add_link(
-        &mut self,
-        dir: LinkDir,
-        peer: NodeId,
-        stream: TcpStream,
-        queue: CircularQueue<Msg>,
-        meter: Arc<Mutex<ThroughputMeter>>,
-        chain: BucketChain,
-    ) {
+    fn add_link(&mut self, link: NewLink) {
+        let NewLink {
+            dir,
+            peer,
+            stream,
+            queue,
+            meter,
+            chain,
+        } = link;
         let token = Token(self.next_token);
         self.next_token += 1;
         if stream.set_nonblocking(true).is_err() {
@@ -530,7 +464,7 @@ impl Shard {
             LinkDir::Recv => ControlEvent::UpstreamFailed(peer),
             LinkDir::Send => ControlEvent::DownstreamFailed(peer),
         };
-        let _ = self.events.send(ev);
+        let _ = self.env.events.send(ev);
     }
 
     /// Removes a link's shard state without notifying the engine (used
@@ -601,7 +535,7 @@ impl Shard {
     }
 
     fn fire_timers(&mut self) {
-        let now = self.clock.now();
+        let now = self.env.clock.now();
         while let Some(std::cmp::Reverse((at, _, token))) = self.timers.peek().copied() {
             if at > now {
                 break;
@@ -665,16 +599,10 @@ impl Shard {
         if !matches!(link.state, RecvState::Reading) {
             return; // pacing/backpressure owns this link right now
         }
-        // Vectored path: drain the non-blocking socket straight into
-        // the decoder's buffers with no zeroed receive window (large
-        // payloads fill their own exact-size buffer in place);
-        // baseline: chunk read plus feed copy.
-        let read = if self.wire_vectored {
-            link.decoder.read_available(&mut link.stream, RECV_CHUNK)
-        } else {
-            link.stream.read(&mut self.chunk)
-        };
-        let n = match read {
+        // Drain the non-blocking socket straight into the decoder's
+        // buffers with no zeroed receive window (large payloads fill
+        // their own exact-size buffer in place).
+        let n = match link.decoder.read_available(&mut link.stream, RECV_CHUNK) {
             Ok(0) => {
                 self.fail_link(token);
                 return;
@@ -690,65 +618,26 @@ impl Shard {
             }
             Ok(n) => n,
         };
-        // Recv/decode window start for sampled messages in this chunk
-        // (mirrors the blocking receiver's placement after the read).
-        let recv_start = if self.tel.enabled() { self.clock.now() } else { 0 };
-        if !self.wire_vectored {
-            link.decoder.feed(&self.chunk[..n]);
-        }
-        let mut bytes_total = 0u64;
-        let mut traced = false;
-        loop {
-            match link.decoder.next_msg() {
-                Ok(Some(msg)) => {
-                    bytes_total += msg.wire_len() as u64;
-                    traced |= msg.trace().is_some();
-                    link.batch.push(msg);
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Malformed header: framing is lost for good.
-                    self.fail_link(token);
-                    return;
-                }
-            }
-        }
-        self.tel.record_recv_chunk(n as u64);
+        // Every message drained here is freshly decoded (the
+        // Reading-state gate above keeps held Paced/Blocked batches
+        // out), so each is admitted exactly once.
+        let Ok(inbound) = self.env.drain(&mut link.decoder, n, &mut link.batch) else {
+            self.fail_link(token);
+            return;
+        };
         if link.batch.is_empty() {
             return; // mid-message: the next readiness pass continues
         }
-        self.tel.record_recv_msgs(link.batch.len() as u64);
-        let now = self.clock.now();
-        if traced {
-            // Every message here is freshly decoded (the Reading-state
-            // gate above keeps held Paced/Blocked batches out), so each
-            // sampled one gets exactly one Recv span + context rewrite.
-            for msg in &mut link.batch {
-                self.tel
-                    .record_recv_span(self.local, link.peer, msg, recv_start, now);
-            }
-        }
-        // Downlink emulation: one reservation paces the whole batch
-        // (the blocking receiver sleeps here; a shard sets a timer).
-        let delay = link.chain.reserve(bytes_total, now);
+        // The blocking receiver sleeps the downlink delay out and then
+        // samples its meter; a shard samples now and sets a timer.
+        let now = self.env.clock.now();
+        let delay = self
+            .env
+            .admit(link.peer, &link.chain, &mut link.batch, &inbound, now);
         link.meter
             .lock()
-            .record_batch(bytes_total, link.batch.len() as u64, now);
+            .record_batch(inbound.bytes, link.batch.len() as u64, now);
         if delay > 0 {
-            self.tel.record_bucket_wait(delay);
-            if traced {
-                for (trace_id, span_id) in traced_in_batch(&link.batch, &self.tel) {
-                    self.tel.record_hop_span(
-                        self.local,
-                        Some(link.peer),
-                        trace_id,
-                        span_id,
-                        SpanStage::BucketWait,
-                        now,
-                        now + delay,
-                    );
-                }
-            }
             link.state = RecvState::Paced;
             let _ = self
                 .poll
@@ -769,10 +658,11 @@ impl Shard {
         let was_empty = link.queue.is_empty();
         let accepted = link.queue.push_batch(&mut link.batch);
         if accepted > 0 {
-            self.tel
+            self.env
+                .tel
                 .record_shard_ingress_occupancy(link.queue.len() as u64);
             if was_empty {
-                let _ = self.events.send(ControlEvent::DataAvailable);
+                let _ = self.env.events.send(ControlEvent::DataAvailable);
             }
         }
         if link.batch.is_empty() {
@@ -798,7 +688,7 @@ impl Shard {
         }
     }
 
-    /// Drains a send link: pop a batch, reserve bandwidth, encode,
+    /// Drains a send link: pop a batch, stage it, reserve bandwidth,
     /// write without blocking, park on WRITABLE when the kernel pushes
     /// back.
     fn service_send(&mut self, token: Token) {
@@ -807,7 +697,7 @@ impl Shard {
         };
         let mut batch: Vec<Msg> = Vec::new();
         loop {
-            let now = self.clock.now();
+            let now = self.env.clock.now();
             if let Some(until) = link.paced_until {
                 if until > now {
                     return; // the armed timer re-enters
@@ -817,70 +707,26 @@ impl Shard {
             // Stage another batch while memory allows.
             if link.out_bytes < OUT_HIGH_WATER {
                 batch.clear();
-                let (n, occupancy) = link
-                    .queue
-                    .pop_batch_observed(self.send_batch_max, &mut batch);
+                let (n, occupancy) = link.queue.pop_batch_observed(SEND_BATCH_MAX, &mut batch);
                 if n > 0 {
                     if occupancy >= link.queue.capacity() {
                         // Drained a full buffer: the engine may be
                         // parked on it with blocked fan-outs.
-                        let _ = self.events.send(ControlEvent::SendSpace);
+                        let _ = self.env.events.send(ControlEvent::SendSpace);
                     }
-                    let traced = traced_in_batch(&batch, &self.tel);
-                    let ser_start = if traced.is_empty() { 0 } else { self.clock.now() };
-                    let total: u64 = batch.iter().map(|m| m.wire_len() as u64).sum();
-                    // Stage the batch as a gather list: on the vectored
-                    // path each payload is held by reference count and
-                    // goes straight to `writev`, never copied into a
-                    // contiguous encode buffer.
-                    let mut wire = WireBatch::new(self.wire_vectored);
-                    for msg in &batch {
-                        wire.push(msg);
-                    }
-                    if !traced.is_empty() {
-                        let ser_end = self.clock.now();
-                        for &(trace_id, span_id) in &traced {
-                            self.tel.record_hop_span(
-                                self.local,
-                                Some(link.peer),
-                                trace_id,
-                                span_id,
-                                SpanStage::Serialize,
-                                ser_start,
-                                ser_end,
-                            );
-                        }
-                    }
-                    link.out_bytes += wire.wire_bytes();
-                    link.out.push_back(Chunk {
-                        batch: wire,
-                        bytes: total,
-                        msgs: n as u64,
-                        traced,
-                    });
-                    // Uplink emulation: one reservation per batch. The
-                    // delay gates the write, like the blocking sender's
-                    // pre-write sleep.
-                    let delay = link.chain.reserve(total, now);
+                    // Serialize first: the gather list must exist
+                    // before the batch can wait in `out` behind a
+                    // timer or a full socket. The delay gates the
+                    // write, like the blocking sender's pre-write sleep.
+                    let mut out = Outbound::default();
+                    self.env.stage(&batch, &mut out);
+                    self.env.serialize(link.peer, &batch, &mut out);
+                    let delay = self.env.pace(link.peer, &link.chain, &out, now);
+                    link.out_bytes += out.bytes as usize;
+                    link.out.push_back(out);
                     if delay > 0 {
-                        self.tel.record_bucket_wait(delay);
-                        if let Some(chunk) = link.out.back() {
-                            for &(trace_id, span_id) in &chunk.traced {
-                                self.tel.record_hop_span(
-                                    self.local,
-                                    Some(link.peer),
-                                    trace_id,
-                                    span_id,
-                                    SpanStage::BucketWait,
-                                    now,
-                                    now + delay,
-                                );
-                            }
-                        }
                         link.paced_until = Some(now + delay);
-                        let deadline = now + delay;
-                        let _ = link; // release the borrow for arm_timer
-                        self.arm_timer(deadline, token);
+                        self.arm_timer(now + delay, token);
                         return;
                     }
                 } else if link.queue.is_closed() && link.out.is_empty() {
@@ -890,7 +736,10 @@ impl Shard {
                     return;
                 }
             }
-            if link.out.is_empty() {
+            // Flush the front batch's gather list; its cursor resumes
+            // from the exact byte a previous partial write reached, and
+            // `Interrupted` is retried inside.
+            let Some(front) = link.out.front_mut() else {
                 if link.want_writable {
                     link.want_writable = false;
                     let _ = self
@@ -899,42 +748,18 @@ impl Shard {
                         .reregister(&link.stream, token, Interest::NONE);
                 }
                 return;
-            }
-            // Flush the front chunk's gather list; its `WireBatch`
-            // cursor resumes from the exact byte a previous partial
-            // write reached, and `Interrupted` is retried inside.
-            let write_start = if link.out.front().is_some_and(|c| !c.traced.is_empty()) {
-                self.clock.now()
-            } else {
-                0
             };
-            let wrote = match link.out.front_mut() {
-                Some(front) => front.batch.write_to(&mut link.stream),
-                None => return,
-            };
-            match wrote {
+            let write_start = self.env.span_now(front);
+            match front.wire.write_to(&mut link.stream) {
                 Ok(()) => {
-                    let now = self.clock.now();
-                    let Some(chunk) = link.out.pop_front() else { return };
-                    link.out_bytes -= chunk.bytes as usize;
-                    self.tel.record_send_batch(chunk.msgs, chunk.bytes);
-                    link.meter.lock().record_batch(chunk.bytes, chunk.msgs, now);
-                    for &(trace_id, span_id) in &chunk.traced {
-                        self.tel.record_hop_span(
-                            self.local,
-                            Some(link.peer),
-                            trace_id,
-                            span_id,
-                            SpanStage::Write,
-                            write_start,
-                            now,
-                        );
-                    }
+                    self.env.finish(link.peer, front, &link.meter, write_start);
+                    link.out_bytes -= front.bytes as usize;
+                    link.out.pop_front();
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     // The storm case: bytes staged, kernel full. Park
                     // on write readiness and resume from the cursor.
-                    self.tel.record_reactor_partial_write();
+                    self.env.tel.record_reactor_partial_write();
                     if !link.want_writable {
                         link.want_writable = true;
                         let _ = self

@@ -209,26 +209,22 @@ fn reactor_backpressure_with_tiny_buffers() {
     sink.shutdown();
 }
 
-/// The wire image is identical with and without the vectored path: a
-/// non-vectored reactor node, a vectored blocking node, and a vectored
-/// reactor node interoperate in one chain, large payloads included
-/// (large frames take the receiver's direct `readv` path).
+/// Both backends speak one wire image: a reactor node, a blocking node
+/// and another reactor node interoperate in one chain, large payloads
+/// included, so the blocking receiver's direct `readv` path and the
+/// shard's `read_available` meet the other backend's gather writes.
 #[test]
-fn vectored_and_copying_wire_paths_interoperate() {
+fn mixed_backend_chain_carries_large_frames() {
     let sink_alg = Relay::new();
     let count = sink_alg.data_count.clone();
     let bytes = sink_alg.data_bytes.clone();
     let sink = EngineNode::spawn(reactor_cfg(), Box::new(sink_alg)).unwrap();
     let relay_alg = Relay::to(sink.id());
-    let relay = EngineNode::spawn(
-        EngineConfig::default().with_wire_vectored(true),
-        Box::new(relay_alg),
-    )
-    .unwrap();
+    let relay = EngineNode::spawn(EngineConfig::default(), Box::new(relay_alg)).unwrap();
     const N: u64 = 150;
     const PAYLOAD: usize = 8 * 1024; // above the direct-read threshold
     let source = EngineNode::spawn(
-        reactor_cfg().with_wire_vectored(false),
+        reactor_cfg(),
         Box::new(BurstSource {
             dest: relay.id(),
             app: 9,

@@ -334,28 +334,20 @@ const MAX_WRITE_IOSLICES: usize = 64;
 /// A reusable staging area that turns a batch of messages into socket
 /// writes without copying payloads.
 ///
-/// In vectored mode (the default wire path) each pushed message
-/// contributes two gather segments — its encoded prefix (header plus
-/// optional trace extension) and a cheap clone of its payload
-/// [`Bytes`] — and [`WireBatch::write_to`] hands up to 64 segments at a
-/// time to `writev`. Payload bytes flow from the message's buffer to
-/// the kernel directly; the per-batch encode buffer of the copying path
-/// disappears.
-///
-/// In contiguous mode (`new(false)`, the benchmark baseline) pushes
-/// encode into one reused buffer and `write_to` writes it — the
-/// pre-vectored sender path behind the same interface.
+/// Each pushed message contributes two gather segments — its encoded
+/// prefix (header plus optional trace extension) and a cheap clone of
+/// its payload [`Bytes`] — and [`WireBatch::write_to`] hands up to 64
+/// segments at a time to `writev`. Payload bytes flow from the
+/// message's buffer to the kernel directly; there is no per-batch
+/// encode buffer.
 ///
 /// A partial or failed write (e.g. `WouldBlock` on a non-blocking
 /// socket) leaves the internal cursor at the first unwritten byte, so
 /// calling `write_to` again resumes exactly where the kernel stopped.
 #[derive(Debug, Default)]
 pub struct WireBatch {
-    vectored: bool,
     prefixes: Vec<([u8; MAX_PREFIX_LEN], usize)>,
     payloads: Vec<Bytes>,
-    contiguous: BytesMut,
-    msgs: usize,
     total: usize,
     /// Write cursor: next segment index and offset within it.
     seg: usize,
@@ -363,19 +355,9 @@ pub struct WireBatch {
 }
 
 impl WireBatch {
-    /// Creates an empty batch; `vectored` selects gather-list writes,
-    /// `false` the contiguous-encode baseline.
-    pub fn new(vectored: bool) -> Self {
-        Self {
-            vectored,
-            ..Self::default()
-        }
-    }
-
-    /// Whether this batch stages gather segments rather than one
-    /// contiguous encode buffer.
-    pub fn vectored(&self) -> bool {
-        self.vectored
+    /// Creates an empty batch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Drops all staged messages and resets the write cursor, keeping
@@ -383,29 +365,21 @@ impl WireBatch {
     pub fn clear(&mut self) {
         self.prefixes.clear();
         self.payloads.clear();
-        self.contiguous.clear();
-        self.msgs = 0;
         self.total = 0;
         self.seg = 0;
         self.off = 0;
     }
 
-    /// Stages one message (payload by reference count, not by copy, in
-    /// vectored mode).
+    /// Stages one message (payload by reference count, not by copy).
     pub fn push(&mut self, msg: &Msg) {
-        if self.vectored {
-            self.prefixes.push(msg.encode_prefix());
-            self.payloads.push(msg.payload().clone());
-        } else {
-            msg.encode_into(&mut self.contiguous);
-        }
-        self.msgs += 1;
+        self.prefixes.push(msg.encode_prefix());
+        self.payloads.push(msg.payload().clone());
         self.total += msg.wire_len();
     }
 
     /// Number of staged messages.
     pub fn msgs(&self) -> usize {
-        self.msgs
+        self.prefixes.len()
     }
 
     /// Total wire bytes of the staged messages.
@@ -415,28 +389,21 @@ impl WireBatch {
 
     /// `true` when no messages are staged.
     pub fn is_empty(&self) -> bool {
-        self.msgs == 0
+        self.prefixes.is_empty()
     }
 
+    /// Gather segments staged: a prefix and a payload per message.
     fn seg_count(&self) -> usize {
-        if self.vectored {
-            self.prefixes.len() * 2
-        } else {
-            usize::from(!self.contiguous.is_empty())
-        }
+        self.prefixes.len() * 2
     }
 
     fn seg_slice(&self, i: usize) -> &[u8] {
-        if self.vectored {
-            let m = i / 2;
-            if i.is_multiple_of(2) {
-                let (buf, len) = &self.prefixes[m];
-                &buf[..*len]
-            } else {
-                &self.payloads[m]
-            }
+        let m = i / 2;
+        if i.is_multiple_of(2) {
+            let (buf, len) = &self.prefixes[m];
+            &buf[..*len]
         } else {
-            &self.contiguous
+            &self.payloads[m]
         }
     }
 
@@ -746,7 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn wire_batch_vectored_matches_contiguous_encoding() {
+    fn wire_batch_writes_the_concatenated_encodings() {
         let ctx = crate::TraceContext::sampled(7, 7);
         let msgs: Vec<Msg> = vec![
             sample(0, 100),
@@ -758,25 +725,23 @@ mod tests {
         for m in &msgs {
             expect.extend_from_slice(&m.encode());
         }
-        for vectored in [true, false] {
-            let mut batch = WireBatch::new(vectored);
-            for m in &msgs {
-                batch.push(m);
-            }
-            assert_eq!(batch.msgs(), msgs.len());
-            assert_eq!(batch.wire_bytes(), expect.len());
-            let mut out = Vec::new();
-            batch.write_to(&mut out).unwrap();
-            assert_eq!(out, expect, "vectored={vectored}");
-            assert!(!batch.has_remaining());
-            batch.clear();
-            assert!(batch.is_empty());
-            // The cleared batch is reusable.
-            batch.push(&msgs[0]);
-            let mut again = Vec::new();
-            batch.write_to(&mut again).unwrap();
-            assert_eq!(again, msgs[0].encode());
+        let mut batch = WireBatch::new();
+        for m in &msgs {
+            batch.push(m);
         }
+        assert_eq!(batch.msgs(), msgs.len());
+        assert_eq!(batch.wire_bytes(), expect.len());
+        let mut out = Vec::new();
+        batch.write_to(&mut out).unwrap();
+        assert_eq!(out, expect);
+        assert!(!batch.has_remaining());
+        batch.clear();
+        assert!(batch.is_empty());
+        // The cleared batch is reusable.
+        batch.push(&msgs[0]);
+        let mut again = Vec::new();
+        batch.write_to(&mut again).unwrap();
+        assert_eq!(again, msgs[0].encode());
     }
 
     /// A writer that accepts a few bytes per call and fails with
@@ -808,24 +773,22 @@ mod tests {
         for m in &msgs {
             expect.extend_from_slice(&m.encode());
         }
-        for vectored in [true, false] {
-            let mut batch = WireBatch::new(vectored);
-            for m in &msgs {
-                batch.push(m);
-            }
-            let mut w = Choppy {
-                out: Vec::new(),
-                calls: 0,
-            };
-            while batch.has_remaining() {
-                match batch.write_to(&mut w) {
-                    Ok(()) => break,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-            assert_eq!(w.out, expect, "vectored={vectored}");
+        let mut batch = WireBatch::new();
+        for m in &msgs {
+            batch.push(m);
         }
+        let mut w = Choppy {
+            out: Vec::new(),
+            calls: 0,
+        };
+        while batch.has_remaining() {
+            match batch.write_to(&mut w) {
+                Ok(()) => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert_eq!(w.out, expect);
     }
 
     #[test]
@@ -839,7 +802,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut batch = WireBatch::new(true);
+        let mut batch = WireBatch::new();
         batch.push(&sample(0, 10));
         let err = batch.write_to(&mut Dead).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);

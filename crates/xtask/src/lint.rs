@@ -9,8 +9,8 @@
 //!   compat shims. Everywhere else a Relaxed access is presumed to be an
 //!   unproven publication and must be Acquire/Release or stronger.
 //! * **R2 `panic-path`** — no `.unwrap()` / `.expect(` in the engine's
-//!   switch loop, socket threads, or shard workers
-//!   (`crates/engine/src/{engine,peer,shard}.rs`) or the observer's
+//!   switch loop, socket threads, shard workers, or the link pipeline
+//!   they share (`crates/engine/src/{engine,peer,shard,link}.rs`) or the observer's
 //!   trace-assembly store (`crates/observer/src/assembly.rs`): a panic
 //!   there poisons queue mutexes and takes down the whole node (a shard
 //!   panic takes every link hashed onto that shard). On top of the
@@ -37,9 +37,10 @@
 //!   escape hatch anywhere else is rejected — widening the waiver set
 //!   requires editing the rule table here, which is the review point.
 //! * **R6 `no-blocking-in-shard`** — scope-aware: inside the `impl
-//!   Shard` blocks of `crates/engine/src/shard.rs` (code that runs on a
-//!   reactor event-loop thread multiplexing many links), no call that
-//!   can park the thread — sleeps, connects, accepts, joins, blocking
+//!   Shard` blocks of `crates/engine/src/shard.rs` and the `impl
+//!   LinkEnv` steps of `crates/engine/src/link.rs` that a shard calls
+//!   (code that runs on a reactor event-loop thread multiplexing many
+//!   links), no call that can park the thread — sleeps, connects, accepts, joins, blocking
 //!   channel receives — and no `.lock()` of a mutex whose lock class is
 //!   not marked `shard_safe` in the lockdep class registry. A shard that
 //!   blocks stalls every link hashed onto it; the runtime counterpart is
@@ -109,12 +110,14 @@ const SYNC_SHIMMED: &[&str] = &[
 /// Files where panics take the whole node down (rule R2): the switch
 /// loop, the blocking dialer/receiver/sender threads, the reactor shard
 /// workers (a panicking shard strands every link hashed onto it, not
-/// just one), and the observer's trace-assembly store (fed by every
+/// just one), the link pipeline both of those run every batch through,
+/// and the observer's trace-assembly store (fed by every
 /// node's spans; a panic there kills the collection plane).
 const PANIC_FREE_FILES: &[&str] = &[
     "crates/engine/src/engine.rs",
     "crates/engine/src/peer.rs",
     "crates/engine/src/shard.rs",
+    "crates/engine/src/link.rs",
     "crates/observer/src/assembly.rs",
 ];
 
@@ -139,8 +142,12 @@ const PANIC_FREE_FNS: &[(&str, &[&str])] = &[(
 /// shard event-loop threads. The target is matched whole-word against
 /// structural impl headers, so `impl Shard` and `impl Drop for Shard`
 /// are covered while `impl ShardPool` (caller-side control surface,
-/// where joining on shutdown is correct) is not.
-const SHARD_LOOP_SCOPES: &[(&str, &str)] = &[("crates/engine/src/shard.rs", "Shard")];
+/// where joining on shutdown is correct) is not. The link pipeline's
+/// steps are `impl LinkEnv` methods that the shard loop calls per batch.
+const SHARD_LOOP_SCOPES: &[(&str, &str)] = &[
+    ("crates/engine/src/shard.rs", "Shard"),
+    ("crates/engine/src/link.rs", "LinkEnv"),
+];
 
 /// Rule R6: call fragments that can park the calling thread.
 const SHARD_BLOCKING_PATTERNS: &[&str] = &[
@@ -698,10 +705,15 @@ mod tests {
 
     #[test]
     fn unwrap_in_socket_threads_and_shard_workers_is_rejected() {
-        // R2 covers the dialer/receiver/sender thread file and the
-        // reactor shard workers, not just the switch loop.
+        // R2 covers the dialer/receiver/sender thread file, the reactor
+        // shard workers and the link pipeline they share, not just the
+        // switch loop.
         let src = "fn f(x: Result<u32, ()>) -> u32 { x.expect(\"boom\") }\n";
-        for file in ["crates/engine/src/peer.rs", "crates/engine/src/shard.rs"] {
+        for file in [
+            "crates/engine/src/peer.rs",
+            "crates/engine/src/shard.rs",
+            "crates/engine/src/link.rs",
+        ] {
             let v = lint_source(file, src);
             assert_eq!(v.len(), 1, "{file} must be panic-free");
             assert_eq!(v[0].rule, "panic-path");
@@ -729,7 +741,11 @@ mod tests {
     #[test]
     fn std_sync_in_shimmed_crate_is_rejected_outside_shim() {
         let src = "use std::sync::Mutex;\n";
-        for file in ["crates/queue/src/ring.rs", "crates/engine/src/handle.rs"] {
+        for file in [
+            "crates/queue/src/ring.rs",
+            "crates/engine/src/handle.rs",
+            "crates/engine/src/link.rs",
+        ] {
             let v = lint_source(file, src);
             assert_eq!(v.len(), 1, "{file} must route sync through its shim");
             assert_eq!(v[0].rule, "std-sync");
@@ -795,6 +811,30 @@ impl ShardPool {
         assert_eq!(v[0].rule, "no-blocking-in-shard");
         assert_eq!(v[0].line, 3);
         assert!(v[0].to_string().contains("crates/engine/src/shard.rs:3"));
+    }
+
+    // The link pipeline's steps run on shard threads too: a wait inside
+    // one (here, sleeping a reservation out instead of returning its
+    // delay) is rejected, and so is locking anything but the meter.
+    #[test]
+    fn deliberate_sleep_in_a_link_step_is_rejected() {
+        let src = "\
+impl LinkEnv {
+    fn pace(&self, chain: &BucketChain, bytes: u64, now: Nanos) -> Nanos {
+        let delay = chain.reserve(bytes, now);
+        std::thread::sleep(Duration::from_nanos(delay));
+        self.pool.threads.lock().len() as u64
+    }
+    fn finish(&self, meter: &Mutex<ThroughputMeter>) {
+        meter.lock().record_batch(1, 1, 0);
+    }
+}
+";
+        let v = lint_source("crates/engine/src/link.rs", src);
+        assert_eq!(v.len(), 2, "the sleep and the foreign lock: {v:?}");
+        assert!(v.iter().all(|x| x.rule == "no-blocking-in-shard"));
+        assert_eq!((v[0].line, v[1].line), (4, 5));
+        assert!(v[0].to_string().contains("crates/engine/src/link.rs:4"));
     }
 
     #[test]
