@@ -1,21 +1,30 @@
 //! Golden digests of six simulated scenarios.
 //!
-//! Each scenario folds everything an outside caller can observe of a
-//! finished run into one `u64` and compares it with a constant recorded
-//! on the map-addressed simulator core (the commit before the dense-core
-//! rebuild). The simulator promises that the same scenario replays the
-//! same events in the same order, so any change of data layout inside
-//! `crates/simnet` must leave all six untouched. Regenerate a constant
-//! only in a change whose stated purpose is to alter simulated
-//! behaviour (see DESIGN.md §14).
+//! Each scenario folds what an outside caller can observe of a finished
+//! run into two `u64`s and compares them with recorded constants:
+//!
+//! * the **order digest** pins what the simulator promises to replay —
+//!   the same events in the same order: virtual time, pending events,
+//!   every byte, message and loss count, the observer log, link lists,
+//!   algorithm status and each status report folded field by field. It
+//!   leaves out the windowed rates (`link_kbps`, `received_kbps`, a
+//!   report's `link_kbps`) and the byte counts of `Status` messages,
+//!   whose length follows the decimal text of the rates they carry. No
+//!   change of data layout, meter or statistic inside `crates/simnet`
+//!   may move it; regenerate one only in a change whose stated purpose
+//!   is to alter the simulated event order (see DESIGN.md §14).
+//! * the **full digest** folds the same run with the rates and the
+//!   encoded reports included, so it also pins what the throughput
+//!   meter reads. A change to how rates are measured regenerates full
+//!   digests and must leave every order digest alone.
 //!
 //! `Metrics` has no accessor for per-link message or loss counts, so a
-//! link contributes its delivered bytes and windowed rate; losses
-//! contribute as the network-wide total.
+//! link contributes its delivered bytes (and, in the full digest, its
+//! windowed rate); losses contribute as the network-wide total.
 
 use ioverlay::algorithms::tree::{JoinPayload, TreeNode, TreeVariant};
 use ioverlay::algorithms::{SinkApp, SourceApp, SourceMode, StaticForwarder};
-use ioverlay::api::{Algorithm, Context, Msg, MsgType, NodeId};
+use ioverlay::api::{Algorithm, Context, Msg, MsgType, NodeId, StatusReport};
 use ioverlay::observer::commands;
 use ioverlay::simnet::{NodeBandwidth, Rate, Sim, SimBuilder};
 
@@ -102,8 +111,40 @@ const TYPES: &[MsgType] = &[
     MsgType::Custom(CHATTER),
 ];
 
-/// Folds everything observable of `sim` about `nodes` and `apps`.
-fn fold(h: &mut Fnv, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
+/// Which of the two digests (see the file header) a fold feeds.
+#[derive(Clone, Copy, PartialEq)]
+enum Digest {
+    Order,
+    Full,
+}
+
+/// A status report field by field, without `link_kbps`.
+fn fold_report_sans_rates(h: &mut Fnv, report: &StatusReport) {
+    h.nodes(report.node.as_slice());
+    for buffers in [&report.recv_buffers, &report.send_buffers] {
+        h.u64(buffers.len() as u64);
+        for &(peer, depth) in buffers {
+            h.node(peer);
+            h.u64(depth as u64);
+        }
+    }
+    h.nodes(&report.upstreams);
+    h.nodes(&report.downstreams);
+    h.u64(report.switched_msgs);
+    h.blob(report.algorithm.to_string().as_bytes());
+    let ser = "report parts serialize";
+    h.blob(&serde_json::to_vec(&report.telemetry).expect(ser));
+    h.blob(&serde_json::to_vec(&report.spans).expect(ser));
+    h.blob(&serde_json::to_vec(&report.series).expect(ser));
+    h.blob(&serde_json::to_vec(&report.flows).expect(ser));
+}
+
+/// Folds what `digest` covers of `sim` about `nodes` and `apps`.
+fn fold(h: &mut Fnv, digest: Digest, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
+    let full = digest == Digest::Full;
+    // `Status` is the one type whose wire length depends on rates.
+    let counted = |ty: MsgType| full || ty != MsgType::Status;
+
     h.u64(sim.now());
     h.u64(sim.pending_events() as u64);
 
@@ -122,12 +163,14 @@ fn fold(h: &mut Fnv, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
             h.u64(sim.metrics().received_bytes(node, app));
             h.u64(sim.metrics().received_msgs(node, app));
         }
-        for &ty in TYPES {
+        for &ty in TYPES.iter().filter(|&&ty| counted(ty)) {
             h.u64(sim.metrics().sent_bytes(node, ty));
         }
-        h.u64(sim.metrics().control_bytes(node));
+        let status = sim.metrics().sent_bytes(node, MsgType::Status);
+        let control = sim.metrics().control_bytes(node);
+        h.u64(if full { control } else { control - status });
     }
-    for &ty in TYPES {
+    for &ty in TYPES.iter().filter(|&&ty| counted(ty)) {
         h.u64(sim.metrics().control_bytes_between(ty, 0, sim.now() / 2));
     }
 
@@ -135,7 +178,13 @@ fn fold(h: &mut Fnv, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
     for (at, node, msg) in sim.observer_log() {
         h.u64(*at);
         h.node(*node);
-        h.blob(&msg.encode());
+        if counted(msg.ty()) {
+            h.blob(&msg.encode());
+        } else {
+            h.node(msg.origin());
+            let report = StatusReport::decode(msg.payload()).expect("a status payload");
+            fold_report_sans_rates(h, &report);
+        }
     }
 
     for &node in nodes {
@@ -147,27 +196,65 @@ fn fold(h: &mut Fnv, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
         h.u64(report.switched_msgs);
         let spans = report.spans.as_ref().map_or(0, |s| s.spans.len() as u64);
         h.u64(spans);
-        // The whole report: buffer depths, neighbours, link rates, the
-        // telemetry snapshot, spans, series windows and flow sketch.
-        h.blob(&report.encode());
+        if full {
+            // The whole report: buffer depths, neighbours, link rates,
+            // the telemetry snapshot, spans, series windows and flow
+            // sketch.
+            h.blob(&report.encode());
+        } else {
+            fold_report_sans_rates(h, &report);
+        }
     }
 
-    // Windowed rates last: reading them evicts old meter samples.
-    for &(a, b) in &links {
-        h.f64(sim.link_kbps(a, b));
-    }
-    for &node in nodes {
-        for &app in apps {
-            h.f64(sim.received_kbps(node, app));
+    if full {
+        for &(a, b) in &links {
+            h.f64(sim.link_kbps(a, b));
+        }
+        for &node in nodes {
+            for &app in apps {
+                h.f64(sim.received_kbps(node, app));
+            }
         }
     }
 }
 
-fn check(name: &str, got: u64, want: u64) {
-    assert_eq!(
-        got, want,
-        "{name}: digest {got:#018x}, recorded {want:#018x} — the simulated run changed"
-    );
+/// The two digests of one test, fed side by side.
+struct Digests {
+    order: Fnv,
+    full: Fnv,
+}
+
+impl Digests {
+    fn new() -> Self {
+        Self {
+            order: Fnv::new(),
+            full: Fnv::new(),
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.order.u64(v);
+        self.full.u64(v);
+    }
+
+    fn fold(&mut self, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
+        fold(&mut self.order, Digest::Order, sim, nodes, apps);
+        fold(&mut self.full, Digest::Full, sim, nodes, apps);
+    }
+
+    fn check(&self, name: &str, order: u64, full: u64) {
+        let got = self.order.0;
+        assert_eq!(
+            got, order,
+            "{name}: order digest {got:#018x}, recorded {order:#018x} — the simulated run changed"
+        );
+        let got = self.full.0;
+        assert_eq!(
+            got, full,
+            "{name}: full digest {got:#018x}, recorded {full:#018x} — same event order, \
+             different windowed rates"
+        );
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -219,24 +306,24 @@ fn static_tree(trace_sample: u32) -> (Sim, Vec<NodeId>) {
 fn static_tree_341() {
     let (mut sim, ids) = static_tree(0);
     sim.run_until(2 * SEC);
-    let mut h = Fnv::new();
-    fold(&mut h, &mut sim, &ids, &[APP]);
-    check("static_tree_341", h.0, 0x8b66_a141_6763_3b58);
+    let mut d = Digests::new();
+    d.fold(&mut sim, &ids, &[APP]);
+    d.check("static_tree_341", 0xbe7f_74b7_a5cd_1c72, 0x8b66_a141_6763_3b58);
 }
 
 #[test]
 fn static_tree_341_traced() {
     let (mut sim, ids) = static_tree(4);
     sim.run_until(2 * SEC);
-    let mut h = Fnv::new();
+    let mut d = Digests::new();
     for &id in &ids {
         let report = sim.status_report(id).expect("node exists");
         let batch = report.spans.expect("telemetry is on");
-        h.u64(batch.spans.len() as u64);
-        h.u64(batch.dropped);
+        d.u64(batch.spans.len() as u64);
+        d.u64(batch.dropped);
     }
-    fold(&mut h, &mut sim, &ids, &[APP]);
-    check("static_tree_341_traced", h.0, 0xde9b_3f72_53cc_4507);
+    d.fold(&mut sim, &ids, &[APP]);
+    d.check("static_tree_341_traced", 0x270c_91fe_709b_7d7d, 0xde9b_3f72_53cc_4507);
 }
 
 // ----------------------------------------------------------------------
@@ -282,9 +369,9 @@ fn capped_chain_retuned() {
     sim.set_node_total(ids[0], Some(Rate::kbps(500)));
     sim.inject(sim.now() + 100 * MS, ids[2], Msg::control(MsgType::Request, n(999), 0));
     sim.run_until(10 * SEC);
-    let mut h = Fnv::new();
-    fold(&mut h, &mut sim, &ids, &[APP]);
-    check("capped_chain_retuned", h.0, 0x8cac_d28a_ded4_44b4);
+    let mut d = Digests::new();
+    d.fold(&mut sim, &ids, &[APP]);
+    d.check("capped_chain_retuned", 0xad05_2afb_be14_b1ea, 0x8cac_d28a_ded4_44b4);
 }
 
 // ----------------------------------------------------------------------
@@ -317,9 +404,9 @@ fn competing_upstreams_parked_and_revived() {
     sim.run_for(20 * SEC);
     sim.set_switch_weight(b, a2, 3);
     sim.run_for(20 * SEC);
-    let mut h = Fnv::new();
-    fold(&mut h, &mut sim, &ids, &[1, 2]);
-    check("competing_upstreams_parked_and_revived", h.0, 0x09a4_29b2_49df_e76f);
+    let mut d = Digests::new();
+    d.fold(&mut sim, &ids, &[1, 2]);
+    d.check("competing_upstreams_parked_and_revived", 0xcf08_af5e_ec38_9930, 0x09a4_29b2_49df_e76f);
 }
 
 // ----------------------------------------------------------------------
@@ -499,9 +586,9 @@ fn failures_in_a_three_level_tree() {
     // Asked for in the past: delivered now.
     sim.inject(SEC, n(13), Msg::control(MsgType::Request, n(9000), 0));
     sim.run_until(6 * SEC);
-    let mut h = Fnv::new();
-    fold(&mut h, &mut sim, &ids, &[APP, 9]);
-    check("failures_in_a_three_level_tree", h.0, 0xa556_1f1d_2145_19f2);
+    let mut d = Digests::new();
+    d.fold(&mut sim, &ids, &[APP, 9]);
+    d.check("failures_in_a_three_level_tree", 0x38f2_e9eb_520c_2fc7, 0xa556_1f1d_2145_19f2);
 }
 
 // ----------------------------------------------------------------------
@@ -579,17 +666,17 @@ fn wide_area_session(variant: TreeVariant, seed: u64) -> (Sim, Vec<NodeId>) {
 
 #[test]
 fn tree_construction_sessions() {
-    let mut h = Fnv::new();
+    let mut d = Digests::new();
     let (mut sim, ids) = five_node_session();
     sim.run_for(40 * SEC);
-    fold(&mut h, &mut sim, &ids, &[APP]);
+    d.fold(&mut sim, &ids, &[APP]);
     for variant in [TreeVariant::NsAware, TreeVariant::Random] {
         let (mut sim, ids) = wide_area_session(variant, 17);
         sim.inject(50 * SEC, ids[3], Msg::control(MsgType::Request, n(999), 0));
         // A member fails after the tree has formed; its subtree is told.
         sim.kill_at(70 * SEC, ids[2]);
         sim.run_until(80 * SEC);
-        fold(&mut h, &mut sim, &ids, &[APP]);
+        d.fold(&mut sim, &ids, &[APP]);
     }
-    check("tree_construction_sessions", h.0, 0x5998_d23f_db7b_0cff);
+    d.check("tree_construction_sessions", 0x5876_8caf_d130_a21c, 0x5998_d23f_db7b_0cff);
 }
