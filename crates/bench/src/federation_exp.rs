@@ -129,8 +129,7 @@ pub fn fig14() {
     }
     // Reconstruct the data topology from the metrics.
     println!("federated session {session} data links (KBps):");
-    let links: Vec<(NodeId, NodeId)> = overlay.sim.metrics().active_links().collect();
-    for (from, to) in links {
+    for (from, to) in overlay.sim.metrics().active_links() {
         let kbps = overlay.sim.link_kbps(from, to);
         if kbps > 1.0 {
             println!("  {from} -> {to}: {kbps:6.1}");

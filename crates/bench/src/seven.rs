@@ -85,7 +85,7 @@ pub fn build(buffer_msgs: usize, seed: u64) -> (Sim, Seven) {
     (sim, topo)
 }
 
-fn print_links(sim: &mut Sim, topo: &Seven, paper: &[(&str, &str)]) {
+fn print_links(sim: &Sim, topo: &Seven, paper: &[(&str, &str)]) {
     let widths = [4, 14, 14];
     println!(
         "{}",
@@ -117,7 +117,7 @@ pub fn fig6a() {
     let (mut sim, topo) = build(5, 6);
     sim.run_for(60 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "200.3"),
@@ -141,7 +141,7 @@ pub fn fig6b() {
     sim.set_node_up(topo.d, Some(Rate::kbps(30)));
     sim.run_for(180 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "14.5"),
@@ -168,7 +168,7 @@ pub fn fig6c() {
     sim.kill_at(now, topo.b);
     sim.run_for(120 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "[closed]"),
@@ -198,7 +198,7 @@ pub fn fig6d() {
     sim.kill_at(now, topo.g);
     sim.run_for(120 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "[closed]"),
@@ -226,7 +226,7 @@ pub fn fig7a() {
     sim.set_node_up(topo.d, Some(Rate::kbps(30)));
     sim.run_for(120 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "200.8"),
@@ -251,7 +251,7 @@ pub fn fig7b() {
     sim.set_link_rate(topo.e, topo.f, Some(Rate::kbps(15)));
     sim.run_for(120 * SEC);
     print_links(
-        &mut sim,
+        &sim,
         &topo,
         &[
             ("AB", "200.5"),

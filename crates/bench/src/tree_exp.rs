@@ -138,7 +138,7 @@ pub fn fig9() {
         ("random", TreeVariant::Random),
         ("ns-aware", TreeVariant::NsAware),
     ] {
-        let (mut sim, nodes) = five_node(variant);
+        let (sim, nodes) = five_node(variant);
         let rates: Vec<f64> = nodes[1..]
             .iter()
             .map(|id| sim.received_kbps(*id, APP))
@@ -258,7 +258,7 @@ pub fn fig11(receivers: usize) {
         ("random", TreeVariant::Random),
         ("ns-aware", TreeVariant::NsAware),
     ] {
-        let (mut sim, source, members) = wide_area(variant, receivers, 17);
+        let (sim, source, members) = wide_area(variant, receivers, 17);
         let mut rates: Vec<f64> = members
             .iter()
             .map(|id| sim.received_kbps(*id, APP))

@@ -1,8 +1,9 @@
-//! Process-resource helpers for the link-count scaling benchmarks:
+//! Process-resource helpers. For the link-count scaling benchmarks:
 //! raising `RLIMIT_NOFILE` (10k links cost ~20k fds across both socket
 //! ends, exceeding the common 1024/4096 soft limits) and boosting
 //! thread scheduling priority (measurement threads starve behind
-//! ten-thousand-thread workloads).
+//! ten-thousand-thread workloads). For the engine: how much freed heap
+//! the allocator keeps before it hands pages back to the kernel.
 
 use std::io;
 
@@ -90,9 +91,45 @@ pub fn set_thread_priority(nice: i32) -> io::Result<()> {
     }
 }
 
+/// glibc's `M_TRIM_THRESHOLD` (`malloc.h`).
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+const M_TRIM_THRESHOLD: i32 = -1;
+
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+extern "C" {
+    fn mallopt(param: i32, value: i32) -> i32;
+}
+
+/// Lets every malloc arena keep up to `bytes` of freed memory at its top
+/// before returning pages to the kernel (glibc's `M_TRIM_THRESHOLD`,
+/// 128 KiB by default and otherwise moved only by the sizes of large
+/// blocks the process happens to free). Process-wide; returns whether
+/// the allocator took the value (`false` on allocators without the
+/// knob, which is harmless).
+pub fn set_malloc_trim_threshold(bytes: usize) -> bool {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        let value = i32::try_from(bytes).unwrap_or(i32::MAX);
+        // SAFETY: plain libc call on immediate arguments; glibc takes
+        // its own lock and the setting affects no memory in use.
+        unsafe { mallopt(M_TRIM_THRESHOLD, value) == 1 }
+    }
+    #[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+    {
+        let _ = bytes;
+        false
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trim_threshold_is_taken_where_the_knob_exists() {
+        let taken = set_malloc_trim_threshold(16 << 20);
+        assert_eq!(taken, cfg!(all(target_os = "linux", target_env = "gnu")));
+    }
 
     #[test]
     fn set_thread_priority_to_current_level_succeeds() {

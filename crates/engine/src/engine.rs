@@ -823,14 +823,15 @@ impl EngineState {
         let mut reports: Vec<Msg> = Vec::new();
         let mut dead_upstreams: Vec<NodeId> = Vec::new();
         for (&peer, link) in self.receivers.iter() {
-            let mut meter = link.meter.lock();
+            let meter = link.meter.lock();
             let kbps = meter.rate_kbps(now);
-            if let (Some(timeout), Some(idle)) =
-                (self.config.inactivity_timeout, meter.idle_for(now))
-            {
-                if idle > timeout {
-                    dead_upstreams.push(peer);
-                }
+            // A link that has carried nothing yet has been idle since it
+            // was opened (its `Hello` never reaches the meter).
+            let idle = meter
+                .idle_for(now)
+                .unwrap_or(now.saturating_sub(link.opened));
+            if self.config.inactivity_timeout.is_some_and(|t| idle > t) {
+                dead_upstreams.push(peer);
             }
             let payload = ThroughputPayload {
                 peer,
@@ -1106,6 +1107,7 @@ fn handle_event(state: &mut EngineState, event: ControlEvent) {
                 ReceiverLink {
                     queue,
                     meter,
+                    opened: state.clock.now(),
                     stream,
                 },
             );

@@ -10,7 +10,7 @@ use crossbeam_channel::Sender;
 use ioverlay_api::{Msg, MsgType, NodeId};
 use ioverlay_message::{write_msg, Decoder};
 use ioverlay_queue::{CircularQueue, PopTimeout};
-use ioverlay_ratelimit::{BucketChain, Clock, ThroughputMeter};
+use ioverlay_ratelimit::{BucketChain, Clock, Nanos, ThroughputMeter};
 
 use crate::link::{LinkEnv, Outbound, RECV_CHUNK, SEND_BATCH_MAX};
 use crate::sync::{check_blocking, Mutex};
@@ -109,6 +109,9 @@ impl SenderLink {
 pub(crate) struct ReceiverLink {
     pub queue: CircularQueue<Msg>,
     pub meter: Arc<Mutex<ThroughputMeter>>,
+    /// When the engine registered the link: what the inactivity detector
+    /// counts from until the first sample reaches `meter`.
+    pub opened: Nanos,
     /// `None` on the reactor backend (the shard owns the only fd).
     pub stream: Option<TcpStream>,
 }

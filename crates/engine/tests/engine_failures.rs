@@ -1,13 +1,15 @@
 //! Engine failure-handling tests: inactivity detection, link-scoped
 //! bandwidth control, and many virtualized nodes in one process.
 
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ioverlay_api::{Algorithm, BandwidthScope, Context, Msg, MsgType, NodeId, SetBandwidthPayload};
-use ioverlay_engine::{EngineConfig, EngineNode};
+use ioverlay_engine::{EngineConfig, EngineNode, IoBackend};
+use ioverlay_message::write_msg;
 
 struct Probe {
     data: Arc<AtomicU64>,
@@ -97,6 +99,39 @@ fn inactivity_detector_declares_quiet_upstreams_dead() {
     );
     quiet.shutdown();
     sink.shutdown();
+}
+
+/// An upstream that says `Hello` and then nothing has never fed the
+/// link's meter; its idle time counts from when the link was accepted.
+#[test]
+fn silent_from_the_start_upstream_is_declared_dead() {
+    for backend in [IoBackend::Blocking, IoBackend::Reactor] {
+        let probe = Probe::new();
+        let events = probe.events.clone();
+        let cfg = EngineConfig {
+            inactivity_timeout: Some(500_000_000),
+            measure_interval: 100_000_000,
+            io_backend: backend,
+            ..EngineConfig::default()
+        };
+        let sink = EngineNode::spawn(cfg, Box::new(probe)).unwrap();
+        let silent = TcpStream::connect(sink.id().to_socket_addr()).unwrap();
+        write_msg(&silent, &Msg::control(MsgType::Hello, NodeId::loopback(1), 0)).unwrap();
+        assert!(
+            wait_until(Duration::from_secs(5), || {
+                events.lock().contains(&MsgType::UpstreamJoined)
+            }),
+            "{backend:?}: the link was never registered"
+        );
+        assert!(
+            wait_until(Duration::from_secs(10), || {
+                events.lock().contains(&MsgType::NeighborFailed)
+            }),
+            "{backend:?}: a silent upstream was never declared dead: {:?}",
+            events.lock()
+        );
+        sink.shutdown();
+    }
 }
 
 #[test]

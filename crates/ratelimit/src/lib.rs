@@ -19,7 +19,13 @@
 //! * [`NodeBandwidth`] — a node's emulated profile (total / up / down),
 //!   settable at start-up or retuned at runtime from the observer;
 //! * [`ThroughputMeter`] — windowed throughput measurement, used both
-//!   for the QoS reports and for the inactivity-based failure detector;
+//!   for the QoS reports and for the inactivity-based failure detector.
+//!   A fixed ring of 17 time slots, 16 of them spanning the window: about
+//!   190 bytes per meter whatever the message rate, O(1) to record,
+//!   read through `&self`, exact until the first window has elapsed and
+//!   within the bytes of one slot (a sixteenth of the window)
+//!   afterwards; a sample or reading stamped behind the newest slot
+//!   recycles nothing;
 //! * [`Clock`], [`SystemClock`], [`VirtualClock`] — pluggable time
 //!   sources so identical shaping logic runs in real time and simulated
 //!   time.

@@ -1,9 +1,53 @@
-//! Property-based tests: token-bucket conformance.
+//! Property-based tests: token-bucket conformance and the throughput
+//! meter against an exact sliding window.
+
+use std::collections::VecDeque;
 
 use ioverlay_ratelimit::{
-    BucketChain, BucketSet, Rate, ThroughputMeter, TokenBucket, NANOS_PER_SEC,
+    BucketChain, BucketSet, Nanos, Rate, ThroughputMeter, TokenBucket, NANOS_PER_SEC,
 };
 use proptest::prelude::*;
+
+/// The exact sliding window the slotted [`ThroughputMeter`] replaced,
+/// kept as its oracle: one entry per sample, evicted once older than
+/// the window.
+struct DequeMeter {
+    window: Nanos,
+    samples: VecDeque<(Nanos, u64)>,
+    window_bytes: u64,
+}
+
+impl DequeMeter {
+    fn new(window: Nanos) -> Self {
+        Self {
+            window,
+            samples: VecDeque::new(),
+            window_bytes: 0,
+        }
+    }
+
+    fn record(&mut self, bytes: u64, now: Nanos) {
+        self.evict(now);
+        self.samples.push_back((now, bytes));
+        self.window_bytes += bytes;
+    }
+
+    fn evict(&mut self, now: Nanos) {
+        let horizon = now.saturating_sub(self.window);
+        while let Some(&(t, bytes)) = self.samples.front() {
+            if t >= horizon {
+                break;
+            }
+            self.samples.pop_front();
+            self.window_bytes -= bytes;
+        }
+    }
+
+    fn rate_bytes_per_sec(&mut self, now: Nanos) -> f64 {
+        self.evict(now);
+        self.window_bytes as f64 * NANOS_PER_SEC as f64 / self.window as f64
+    }
+}
 
 proptest! {
     /// A bucket with no burst never lets cumulative conforming traffic
@@ -104,8 +148,8 @@ proptest! {
         }
     }
 
-    /// The meter's windowed reading never exceeds the true rate by more
-    /// than the one-sample quantization error.
+    /// On uniform traffic the meter reads the true rate to within one
+    /// message either way.
     #[test]
     fn meter_agrees_with_uniform_traffic(
         bytes_per_msg in 100u64..10_000,
@@ -120,9 +164,64 @@ proptest! {
         let now = (n - 1) * interval;
         let measured = meter.rate_bytes_per_sec(now);
         let truth = bytes_per_msg as f64 * NANOS_PER_SEC as f64 / interval as f64;
-        // Allow one message of quantization either way.
-        let slack = bytes_per_msg as f64 + truth * 0.1;
-        prop_assert!((measured - truth).abs() <= slack,
+        prop_assert!((measured - truth).abs() <= bytes_per_msg as f64,
             "measured {measured} vs truth {truth}");
+    }
+
+    /// The slotted meter against the exact deque on the same stream —
+    /// bursts at one instant, gaps longer than the window, windows of a
+    /// few nanoseconds and windows 16 does not divide. Readings agree
+    /// bit for bit until the first window has elapsed, and afterwards
+    /// differ by no more than the bytes of the one slot the horizon
+    /// cuts; totals and idle time never depend on the slots.
+    #[test]
+    fn slotted_meter_tracks_the_exact_window(
+        window in prop_oneof![1u64..100, 1_000u64..5_000_000_000],
+        // (gap in thousandths of the window, extra ns, bytes, 0 = read only)
+        ops in proptest::collection::vec(
+            (
+                prop_oneof![0u64..3, 0u64..60, 0u64..400, 1_000u64..3_500],
+                0u64..3,
+                0u64..100_000,
+                0u8..4,
+            ),
+            1..200,
+        ),
+    ) {
+        let width = window.div_ceil(16);
+        let mut meter = ThroughputMeter::new(window);
+        let mut exact = DequeMeter::new(window);
+        let mut recorded: Vec<(Nanos, u64)> = Vec::new();
+        let mut now: Nanos = 0;
+        for (gap, extra, bytes, kind) in ops {
+            now += (u128::from(window) * u128::from(gap) / 1_000) as u64 + extra;
+            if kind != 0 {
+                meter.record(bytes, now);
+                exact.record(bytes, now);
+                recorded.push((now, bytes));
+            }
+            let got = meter.rate_bytes_per_sec(now);
+            let want = exact.rate_bytes_per_sec(now);
+            if now <= window {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "at {} of {}", now, window);
+            } else {
+                let cut = (now - window) / width;
+                let straddling: u64 = recorded
+                    .iter()
+                    .filter(|&&(t, _)| t / width == cut)
+                    .map(|&(_, b)| b)
+                    .sum();
+                let bound = straddling as f64 * NANOS_PER_SEC as f64 / window as f64;
+                prop_assert!(
+                    (got - want).abs() <= bound + want * 1e-12,
+                    "at {} of {}: slotted {} vs exact {}, straddling slot {} B",
+                    now, window, got, want, straddling
+                );
+            }
+        }
+        prop_assert_eq!(meter.total_bytes(), recorded.iter().map(|&(_, b)| b).sum::<u64>());
+        prop_assert_eq!(meter.total_msgs(), recorded.len() as u64);
+        let last = recorded.last().map(|&(t, _)| now - t);
+        prop_assert_eq!(meter.idle_for(now), last);
     }
 }

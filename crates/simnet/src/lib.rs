@@ -91,5 +91,5 @@ mod sim;
 
 pub use ioverlay_ratelimit::{NodeBandwidth, Rate};
 
-pub use metrics::{LinkStats, Metrics};
+pub use metrics::Metrics;
 pub use sim::{Sim, SimBuilder, SimConfig};

@@ -6,39 +6,14 @@ use ioverlay_ratelimit::ThroughputMeter;
 
 use crate::index::{Directory, LinkIdx, NodeIdx};
 
-/// Per-directed-link delivery statistics.
+/// Per-directed-link delivery statistics: one flat record, so a
+/// delivery touches the link's meter and nothing on the heap.
 #[derive(Debug, Clone)]
-pub struct LinkStats {
-    meter: ThroughputMeter,
-    /// Total bytes delivered over the link.
-    pub delivered_bytes: u64,
-    /// Total messages delivered over the link.
-    pub delivered_msgs: u64,
+struct LinkStats {
+    /// Windowed rate and the totals of bytes and messages delivered.
+    delivered: ThroughputMeter,
     /// Messages lost on this link (teardown, dead peer).
-    pub lost_msgs: u64,
-}
-
-impl LinkStats {
-    fn new(window: Nanos) -> Self {
-        Self {
-            meter: ThroughputMeter::new(window),
-            delivered_bytes: 0,
-            delivered_msgs: 0,
-            lost_msgs: 0,
-        }
-    }
-
-    /// Windowed throughput in KBps at time `now`.
-    pub fn kbps(&mut self, now: Nanos) -> f64 {
-        self.meter.rate_kbps(now)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct RecvStats {
-    meter: ThroughputMeter,
-    bytes: u64,
-    msgs: u64,
+    lost_msgs: u64,
 }
 
 /// All measurements collected by a simulation run.
@@ -58,8 +33,8 @@ pub struct Metrics {
     pub(crate) dir: Directory,
     /// One entry per link record, created with it.
     links: Vec<LinkStats>,
-    /// Per node, one entry per application it received data for.
-    received: Vec<Vec<(AppId, RecvStats)>>,
+    /// Per node, one meter per application it received data for.
+    received: Vec<Vec<(AppId, ThroughputMeter)>>,
     /// Per node, bytes sent per message type.
     sent_by_type: Vec<Vec<(MsgType, u64)>>,
     /// Time-ordered control transmissions: (time, sender, type, bytes).
@@ -90,15 +65,15 @@ impl Metrics {
 
     /// Registers a directed link; its index addresses its statistics.
     pub(crate) fn add_link(&mut self, from: NodeIdx, to: NodeIdx) -> LinkIdx {
-        self.links.push(LinkStats::new(self.window));
+        self.links.push(LinkStats {
+            delivered: ThroughputMeter::new(self.window),
+            lost_msgs: 0,
+        });
         self.dir.add_link(from, to)
     }
 
     pub(crate) fn record_link_delivery(&mut self, link: LinkIdx, bytes: u64, now: Nanos) {
-        let stats = &mut self.links[link.ix()];
-        stats.meter.record(bytes, now);
-        stats.delivered_bytes += bytes;
-        stats.delivered_msgs += 1;
+        self.links[link.ix()].delivered.record(bytes, now);
     }
 
     pub(crate) fn record_data_received(
@@ -110,21 +85,10 @@ impl Metrics {
     ) {
         let apps = &mut self.received[node.ix()];
         let pos = apps.iter().position(|(a, _)| *a == app).unwrap_or_else(|| {
-            let meter = ThroughputMeter::new(self.window);
-            apps.push((
-                app,
-                RecvStats {
-                    meter,
-                    bytes: 0,
-                    msgs: 0,
-                },
-            ));
+            apps.push((app, ThroughputMeter::new(self.window)));
             apps.len() - 1
         });
-        let stats = &mut apps[pos].1;
-        stats.meter.record(bytes, now);
-        stats.bytes += bytes;
-        stats.msgs += 1;
+        apps[pos].1.record(bytes, now);
     }
 
     pub(crate) fn record_sent(&mut self, node: NodeIdx, ty: MsgType, bytes: u64, now: Nanos) {
@@ -148,11 +112,11 @@ impl Metrics {
     }
 
     /// [`Metrics::link_kbps`] for a link already resolved.
-    pub(crate) fn link_kbps_at(&mut self, link: LinkIdx, now: Nanos) -> f64 {
-        self.links[link.ix()].kbps(now)
+    pub(crate) fn link_kbps_at(&self, link: LinkIdx, now: Nanos) -> f64 {
+        self.links[link.ix()].delivered.rate_kbps(now)
     }
 
-    fn received_stats(&self, node: NodeId, app: AppId) -> Option<&RecvStats> {
+    fn received_meter(&self, node: NodeId, app: AppId) -> Option<&ThroughputMeter> {
         let apps = &self.received[self.dir.node(node)?.ix()];
         apps.iter().find(|(a, _)| *a == app).map(|(_, s)| s)
     }
@@ -160,7 +124,7 @@ impl Metrics {
     /// Windowed throughput of the directed link `from -> to` in KBps.
     ///
     /// Returns 0.0 for a link that never carried traffic.
-    pub fn link_kbps(&mut self, from: NodeId, to: NodeId, now: Nanos) -> f64 {
+    pub fn link_kbps(&self, from: NodeId, to: NodeId, now: Nanos) -> f64 {
         match self.dir.link_between(from, to) {
             Some(link) => self.link_kbps_at(link, now),
             None => 0.0,
@@ -171,7 +135,7 @@ impl Metrics {
     pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
         self.dir
             .link_between(from, to)
-            .map(|link| self.links[link.ix()].delivered_bytes)
+            .map(|link| self.links[link.ix()].delivered.total_bytes())
             .unwrap_or(0)
     }
 
@@ -181,30 +145,26 @@ impl Metrics {
         self.links
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.delivered_msgs > 0)
+            .filter(|(_, s)| s.delivered.total_msgs() > 0)
             .map(|(i, _)| self.dir.ends(LinkIdx(i as u32)))
     }
 
     /// Windowed goodput of application `app` at `node`, in KBps.
-    pub fn received_kbps(&mut self, node: NodeId, app: AppId, now: Nanos) -> f64 {
-        let Some(idx) = self.dir.node(node) else {
-            return 0.0;
-        };
-        self.received[idx.ix()]
-            .iter_mut()
-            .find(|(a, _)| *a == app)
-            .map(|(_, s)| s.meter.rate_kbps(now))
-            .unwrap_or(0.0)
+    pub fn received_kbps(&self, node: NodeId, app: AppId, now: Nanos) -> f64 {
+        self.received_meter(node, app)
+            .map_or(0.0, |m| m.rate_kbps(now))
     }
 
     /// Total application bytes received by `node` for `app`.
     pub fn received_bytes(&self, node: NodeId, app: AppId) -> u64 {
-        self.received_stats(node, app).map(|s| s.bytes).unwrap_or(0)
+        self.received_meter(node, app)
+            .map_or(0, ThroughputMeter::total_bytes)
     }
 
     /// Total application messages received by `node` for `app`.
     pub fn received_msgs(&self, node: NodeId, app: AppId) -> u64 {
-        self.received_stats(node, app).map(|s| s.msgs).unwrap_or(0)
+        self.received_meter(node, app)
+            .map_or(0, ThroughputMeter::total_msgs)
     }
 
     fn sent_types(&self, node: NodeId) -> &[(MsgType, u64)] {

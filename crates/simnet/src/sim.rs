@@ -205,14 +205,9 @@ impl Sim {
         &self.config
     }
 
-    /// Immutable metrics access (totals, counters).
+    /// The run's measurements: totals, counters and windowed rates.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable metrics access (windowed rate queries evict old samples).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Messages sent to the observer so far: `(time, sender, message)`.
@@ -222,15 +217,13 @@ impl Sim {
 
     /// Windowed throughput of link `from -> to` in KBps at the current
     /// virtual time.
-    pub fn link_kbps(&mut self, from: NodeId, to: NodeId) -> f64 {
-        let now = self.now;
-        self.metrics.link_kbps(from, to, now)
+    pub fn link_kbps(&self, from: NodeId, to: NodeId) -> f64 {
+        self.metrics.link_kbps(from, to, self.now)
     }
 
     /// Windowed application goodput at `node` in KBps.
-    pub fn received_kbps(&mut self, node: NodeId, app: u32) -> f64 {
-        let now = self.now;
-        self.metrics.received_kbps(node, app, now)
+    pub fn received_kbps(&self, node: NodeId, app: u32) -> f64 {
+        self.metrics.received_kbps(node, app, self.now)
     }
 
     fn node_idx(&self, id: NodeId) -> Option<NodeIdx> {
@@ -440,12 +433,12 @@ impl Sim {
     /// Builds the node's status report — the same data a real node sends
     /// the observer on each `request`: buffer lengths, neighbors,
     /// per-link throughput, and the algorithm's own status.
-    pub fn status_report(&mut self, node_id: NodeId) -> Option<ioverlay_api::StatusReport> {
+    pub fn status_report(&self, node_id: NodeId) -> Option<ioverlay_api::StatusReport> {
         let idx = self.node_idx(node_id)?;
         Some(self.status_report_of(idx))
     }
 
-    fn status_report_of(&mut self, idx: NodeIdx) -> ioverlay_api::StatusReport {
+    fn status_report_of(&self, idx: NodeIdx) -> ioverlay_api::StatusReport {
         let now = self.now;
         let node = &self.nodes[idx.ix()];
         let recv: Vec<(NodeId, usize)> = self

@@ -146,6 +146,35 @@ fn per_node_total_bandwidth_splits_across_links() {
 }
 
 #[test]
+fn a_capped_link_reads_its_cap_at_any_instant() {
+    // The paper promises emulated bandwidth within 1-2 % of the set
+    // rate, and the windowed meter is what measures it: once a window
+    // has filled, a reading is within 2 % of the cap whenever it is
+    // taken, not only at instants aligned with the meter's time slots.
+    let (a, b) = (node(1), node(2));
+    let mut sim = sim(5);
+    sim.set_link_rate(a, b, Some(Rate::kbps(100)));
+    sim.add_node(b, NodeBandwidth::unlimited(), Box::new(Forwarder::to(vec![])));
+    sim.add_node(
+        a,
+        NodeBandwidth::unlimited(),
+        Box::new(Source::new(1, vec![b], 2 * 1024)),
+    );
+    const MS: u64 = SEC / 1_000;
+    sim.run_until(4 * SEC + 100 * MS);
+    for i in 0..50u64 {
+        sim.run_for((150 + i * 7_919 % 317) * MS + i * 1_237);
+        let kbps = sim.link_kbps(a, b);
+        assert!(
+            (kbps - 100.0).abs() <= 2.0,
+            "reading {i} at {} ns: {kbps} KBps, want 100 within 2 %",
+            sim.now()
+        );
+    }
+    assert!(sim.now() <= 20 * SEC);
+}
+
+#[test]
 fn small_buffers_propagate_back_pressure_upstream() {
     // A -> B -> C with B's uplink capped: with small buffers, A -> B
     // throttles down to the bottleneck (Fig. 6(b) behavior).

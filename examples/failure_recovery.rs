@@ -47,7 +47,7 @@ fn main() {
         Box::new(SourceApp::new(APP, vec![b, c], 5 * 1024, SourceMode::BackToBack).deployed()),
     );
 
-    let snapshot = |sim: &mut Sim, label: &str| {
+    let snapshot = |sim: &Sim, label: &str| {
         println!("{label}");
         for (from, to, name) in [
             (a, b, "AB"),
@@ -71,17 +71,17 @@ fn main() {
     };
 
     sim.run_for(120 * SEC);
-    snapshot(&mut sim, "steady state (D uplink capped at 30 KBps, Fig. 6b):");
+    snapshot(&sim, "steady state (D uplink capped at 30 KBps, Fig. 6b):");
 
     let now = sim.now();
     sim.kill_at(now, b);
     sim.run_for(120 * SEC);
-    snapshot(&mut sim, "after terminating node B (Fig. 6c):");
+    snapshot(&sim, "after terminating node B (Fig. 6c):");
 
     let now = sim.now();
     sim.kill_at(now, g);
     sim.run_for(120 * SEC);
-    snapshot(&mut sim, "after also terminating node G (Fig. 6d):");
+    snapshot(&sim, "after also terminating node G (Fig. 6d):");
 
     println!(
         "receiver F still getting {:.1} KBps via C -> D -> E; messages lost across both failures: {}",

@@ -84,7 +84,7 @@ fn build(buffer_msgs: usize) -> (Sim, Nodes) {
     (sim, n)
 }
 
-fn assert_kbps(sim: &mut Sim, from: NodeId, to: NodeId, expect: f64, tol: f64, label: &str) {
+fn assert_kbps(sim: &Sim, from: NodeId, to: NodeId, expect: f64, tol: f64, label: &str) {
     let got = sim.link_kbps(from, to);
     assert!(
         (got - expect).abs() < tol,
@@ -97,15 +97,15 @@ fn fig6a_per_node_cap_converges_all_links() {
     let (mut sim, n) = build(5);
     sim.run_for(60 * SEC);
     // Fig. 6(a): AB = AC = BD = BF = CD = CG ≈ 200, DE = EF = EG ≈ 400.
-    assert_kbps(&mut sim, n.a, n.b, 200.0, 30.0, "AB");
-    assert_kbps(&mut sim, n.a, n.c, 200.0, 30.0, "AC");
-    assert_kbps(&mut sim, n.b, n.d, 200.0, 30.0, "BD");
-    assert_kbps(&mut sim, n.b, n.f, 200.0, 30.0, "BF");
-    assert_kbps(&mut sim, n.c, n.d, 200.0, 30.0, "CD");
-    assert_kbps(&mut sim, n.c, n.g, 200.0, 30.0, "CG");
-    assert_kbps(&mut sim, n.d, n.e, 400.0, 50.0, "DE");
-    assert_kbps(&mut sim, n.e, n.f, 400.0, 50.0, "EF");
-    assert_kbps(&mut sim, n.e, n.g, 400.0, 50.0, "EG");
+    assert_kbps(&sim, n.a, n.b, 200.0, 30.0, "AB");
+    assert_kbps(&sim, n.a, n.c, 200.0, 30.0, "AC");
+    assert_kbps(&sim, n.b, n.d, 200.0, 30.0, "BD");
+    assert_kbps(&sim, n.b, n.f, 200.0, 30.0, "BF");
+    assert_kbps(&sim, n.c, n.d, 200.0, 30.0, "CD");
+    assert_kbps(&sim, n.c, n.g, 200.0, 30.0, "CG");
+    assert_kbps(&sim, n.d, n.e, 400.0, 50.0, "DE");
+    assert_kbps(&sim, n.e, n.f, 400.0, 50.0, "EF");
+    assert_kbps(&sim, n.e, n.g, 400.0, 50.0, "EG");
 }
 
 #[test]
@@ -116,15 +116,15 @@ fn fig6b_uplink_bottleneck_back_pressures_the_whole_network() {
     sim.set_node_up(n.d, Some(Rate::kbps(30)));
     sim.run_for(180 * SEC);
     // Fig. 6(b): everything except DE/EF/EG converges to ~15; those to ~30.
-    assert_kbps(&mut sim, n.b, n.d, 15.0, 5.0, "BD");
-    assert_kbps(&mut sim, n.c, n.d, 15.0, 5.0, "CD");
-    assert_kbps(&mut sim, n.a, n.b, 15.0, 5.0, "AB (back pressure)");
-    assert_kbps(&mut sim, n.a, n.c, 15.0, 5.0, "AC (back pressure)");
-    assert_kbps(&mut sim, n.b, n.f, 15.0, 5.0, "BF (fate sharing)");
-    assert_kbps(&mut sim, n.c, n.g, 15.0, 5.0, "CG (fate sharing)");
-    assert_kbps(&mut sim, n.d, n.e, 30.0, 6.0, "DE");
-    assert_kbps(&mut sim, n.e, n.f, 30.0, 6.0, "EF");
-    assert_kbps(&mut sim, n.e, n.g, 30.0, 6.0, "EG");
+    assert_kbps(&sim, n.b, n.d, 15.0, 5.0, "BD");
+    assert_kbps(&sim, n.c, n.d, 15.0, 5.0, "CD");
+    assert_kbps(&sim, n.a, n.b, 15.0, 5.0, "AB (back pressure)");
+    assert_kbps(&sim, n.a, n.c, 15.0, 5.0, "AC (back pressure)");
+    assert_kbps(&sim, n.b, n.f, 15.0, 5.0, "BF (fate sharing)");
+    assert_kbps(&sim, n.c, n.g, 15.0, 5.0, "CG (fate sharing)");
+    assert_kbps(&sim, n.d, n.e, 30.0, 6.0, "DE");
+    assert_kbps(&sim, n.e, n.f, 30.0, 6.0, "EF");
+    assert_kbps(&sim, n.e, n.g, 30.0, 6.0, "EG");
 }
 
 #[test]
@@ -138,11 +138,11 @@ fn fig6c_terminating_b_leaves_the_rest_undisturbed() {
     // Fig. 6(c): AB/BF/BD closed; CD rises to ~30 (D's full uplink now
     // feeds from C alone); F still served via E.
     assert!(!sim.is_alive(n.b));
-    assert_kbps(&mut sim, n.c, n.d, 30.0, 6.0, "CD after B dies");
-    assert_kbps(&mut sim, n.d, n.e, 30.0, 6.0, "DE");
-    assert_kbps(&mut sim, n.e, n.f, 30.0, 6.0, "EF (F still served)");
-    assert_kbps(&mut sim, n.b, n.d, 0.0, 1.0, "BD closed");
-    assert_kbps(&mut sim, n.b, n.f, 0.0, 1.0, "BF closed");
+    assert_kbps(&sim, n.c, n.d, 30.0, 6.0, "CD after B dies");
+    assert_kbps(&sim, n.d, n.e, 30.0, 6.0, "DE");
+    assert_kbps(&sim, n.e, n.f, 30.0, 6.0, "EF (F still served)");
+    assert_kbps(&sim, n.b, n.d, 0.0, 1.0, "BD closed");
+    assert_kbps(&sim, n.b, n.f, 0.0, 1.0, "BF closed");
 }
 
 #[test]
@@ -156,9 +156,9 @@ fn fig6d_terminating_g_keeps_f_served() {
     sim.kill_at(sim.now(), n.g);
     sim.run_for(120 * SEC);
     // Fig. 6(d): F keeps receiving via C, D, E.
-    assert_kbps(&mut sim, n.e, n.f, 30.0, 6.0, "EF (F survives)");
-    assert_kbps(&mut sim, n.e, n.g, 0.0, 1.0, "EG closed");
-    assert_kbps(&mut sim, n.c, n.g, 0.0, 1.0, "CG closed");
+    assert_kbps(&sim, n.e, n.f, 30.0, 6.0, "EF (F survives)");
+    assert_kbps(&sim, n.e, n.g, 0.0, 1.0, "EG closed");
+    assert_kbps(&sim, n.c, n.g, 0.0, 1.0, "CG closed");
     let recent = sim.received_kbps(n.f, APP);
     assert!(recent > 20.0, "F's goodput died: {recent}");
 }
@@ -171,10 +171,10 @@ fn fig7a_large_buffers_confine_the_bottleneck_to_downstream() {
     sim.run_for(120 * SEC);
     // Fig. 7(a): with 10000-message buffers, D's bottleneck only affects
     // its own downstream; the rest of the network stays at ~200/400.
-    assert_kbps(&mut sim, n.d, n.e, 30.0, 6.0, "DE");
-    assert_kbps(&mut sim, n.a, n.b, 200.0, 30.0, "AB unaffected");
-    assert_kbps(&mut sim, n.b, n.d, 200.0, 30.0, "BD unaffected");
-    assert_kbps(&mut sim, n.b, n.f, 200.0, 30.0, "BF unaffected");
+    assert_kbps(&sim, n.d, n.e, 30.0, 6.0, "DE");
+    assert_kbps(&sim, n.a, n.b, 200.0, 30.0, "AB unaffected");
+    assert_kbps(&sim, n.b, n.d, 200.0, 30.0, "BD unaffected");
+    assert_kbps(&sim, n.b, n.f, 200.0, 30.0, "BF unaffected");
 }
 
 #[test]
@@ -185,7 +185,7 @@ fn fig7b_per_link_cap_does_not_affect_sibling_links() {
     sim.set_link_rate(n.e, n.f, Some(Rate::kbps(15)));
     sim.run_for(120 * SEC);
     // Fig. 7(b): EF pinned at 15, EG keeps D's full 30 KBps output.
-    assert_kbps(&mut sim, n.e, n.f, 15.0, 4.0, "EF capped");
-    assert_kbps(&mut sim, n.e, n.g, 30.0, 6.0, "EG unaffected");
-    assert_kbps(&mut sim, n.a, n.b, 200.0, 30.0, "AB unaffected");
+    assert_kbps(&sim, n.e, n.f, 15.0, 4.0, "EF capped");
+    assert_kbps(&sim, n.e, n.g, 30.0, 6.0, "EG unaffected");
+    assert_kbps(&sim, n.a, n.b, 200.0, 30.0, "AB unaffected");
 }

@@ -140,7 +140,7 @@ fn fold_report_sans_rates(h: &mut Fnv, report: &StatusReport) {
 }
 
 /// Folds what `digest` covers of `sim` about `nodes` and `apps`.
-fn fold(h: &mut Fnv, digest: Digest, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
+fn fold(h: &mut Fnv, digest: Digest, sim: &Sim, nodes: &[NodeId], apps: &[u32]) {
     let full = digest == Digest::Full;
     // `Status` is the one type whose wire length depends on rates.
     let counted = |ty: MsgType| full || ty != MsgType::Status;
@@ -237,7 +237,7 @@ impl Digests {
         self.full.u64(v);
     }
 
-    fn fold(&mut self, sim: &mut Sim, nodes: &[NodeId], apps: &[u32]) {
+    fn fold(&mut self, sim: &Sim, nodes: &[NodeId], apps: &[u32]) {
         fold(&mut self.order, Digest::Order, sim, nodes, apps);
         fold(&mut self.full, Digest::Full, sim, nodes, apps);
     }
@@ -307,7 +307,7 @@ fn static_tree_341() {
     let (mut sim, ids) = static_tree(0);
     sim.run_until(2 * SEC);
     let mut d = Digests::new();
-    d.fold(&mut sim, &ids, &[APP]);
+    d.fold(&sim, &ids, &[APP]);
     d.check("static_tree_341", 0xbe7f_74b7_a5cd_1c72, 0x8b66_a141_6763_3b58);
 }
 
@@ -322,7 +322,7 @@ fn static_tree_341_traced() {
         d.u64(batch.spans.len() as u64);
         d.u64(batch.dropped);
     }
-    d.fold(&mut sim, &ids, &[APP]);
+    d.fold(&sim, &ids, &[APP]);
     d.check("static_tree_341_traced", 0x270c_91fe_709b_7d7d, 0xde9b_3f72_53cc_4507);
 }
 
@@ -370,8 +370,8 @@ fn capped_chain_retuned() {
     sim.inject(sim.now() + 100 * MS, ids[2], Msg::control(MsgType::Request, n(999), 0));
     sim.run_until(10 * SEC);
     let mut d = Digests::new();
-    d.fold(&mut sim, &ids, &[APP]);
-    d.check("capped_chain_retuned", 0xad05_2afb_be14_b1ea, 0x8cac_d28a_ded4_44b4);
+    d.fold(&sim, &ids, &[APP]);
+    d.check("capped_chain_retuned", 0xad05_2afb_be14_b1ea, 0x4f00_90e4_5d9b_f74d);
 }
 
 // ----------------------------------------------------------------------
@@ -405,7 +405,7 @@ fn competing_upstreams_parked_and_revived() {
     sim.set_switch_weight(b, a2, 3);
     sim.run_for(20 * SEC);
     let mut d = Digests::new();
-    d.fold(&mut sim, &ids, &[1, 2]);
+    d.fold(&sim, &ids, &[1, 2]);
     d.check("competing_upstreams_parked_and_revived", 0xcf08_af5e_ec38_9930, 0x09a4_29b2_49df_e76f);
 }
 
@@ -587,7 +587,7 @@ fn failures_in_a_three_level_tree() {
     sim.inject(SEC, n(13), Msg::control(MsgType::Request, n(9000), 0));
     sim.run_until(6 * SEC);
     let mut d = Digests::new();
-    d.fold(&mut sim, &ids, &[APP, 9]);
+    d.fold(&sim, &ids, &[APP, 9]);
     d.check("failures_in_a_three_level_tree", 0x38f2_e9eb_520c_2fc7, 0xa556_1f1d_2145_19f2);
 }
 
@@ -669,14 +669,14 @@ fn tree_construction_sessions() {
     let mut d = Digests::new();
     let (mut sim, ids) = five_node_session();
     sim.run_for(40 * SEC);
-    d.fold(&mut sim, &ids, &[APP]);
+    d.fold(&sim, &ids, &[APP]);
     for variant in [TreeVariant::NsAware, TreeVariant::Random] {
         let (mut sim, ids) = wide_area_session(variant, 17);
         sim.inject(50 * SEC, ids[3], Msg::control(MsgType::Request, n(999), 0));
         // A member fails after the tree has formed; its subtree is told.
         sim.kill_at(70 * SEC, ids[2]);
         sim.run_until(80 * SEC);
-        d.fold(&mut sim, &ids, &[APP]);
+        d.fold(&sim, &ids, &[APP]);
     }
     d.check("tree_construction_sessions", 0x5876_8caf_d130_a21c, 0x5998_d23f_db7b_0cff);
 }
