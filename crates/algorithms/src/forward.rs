@@ -63,12 +63,14 @@ impl Algorithm for StaticForwarder {
             MsgType::Data => {
                 self.data_seen += 1;
                 self.data_bytes += msg.payload().len() as u64;
-                if let Some(dests) = self.routes.get(&msg.app()) {
-                    // Zero-copy fast path: re-sending the received data
-                    // message, cloned per destination (a refcount bump).
-                    for dest in dests.clone() {
+                // Zero-copy fast path: the received message itself goes
+                // to the last destination, a clone (a refcount bump) to
+                // each one before it.
+                if let Some((&last, rest)) = self.routes.get(&msg.app()).and_then(|d| d.split_last()) {
+                    for &dest in rest {
                         ctx.send(msg.clone(), dest);
                     }
+                    ctx.send(msg, last);
                 }
             }
             _ => {
@@ -135,6 +137,21 @@ mod tests {
         assert_eq!(ctx.sent[0], (msg.clone(), d));
         assert_eq!(ctx.sent[1], (msg, f));
         assert_eq!(alg.data_seen(), 1);
+    }
+
+    #[test]
+    fn fan_out_shares_one_payload_allocation_in_route_order() {
+        let route: Vec<NodeId> = [6, 4, 5].map(NodeId::loopback).to_vec();
+        let mut alg = StaticForwarder::new().route(1, route.clone());
+        let mut ctx = MockCtx { sent: Vec::new() };
+        let msg = Msg::data(NodeId::loopback(9), 1, 0, vec![7u8; 2048]);
+        let payload = msg.payload().as_ptr();
+        alg.on_message(&mut ctx, msg);
+        let dests: Vec<NodeId> = ctx.sent.iter().map(|(_, d)| *d).collect();
+        assert_eq!(dests, route, "route order, not address order");
+        for (copy, _) in &ctx.sent {
+            assert_eq!(copy.payload().as_ptr(), payload, "no payload copy");
+        }
     }
 
     #[test]

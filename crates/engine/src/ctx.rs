@@ -1,11 +1,20 @@
 //! The engine-backed `Context` handed to algorithms.
 
+use std::collections::BTreeMap;
+
 use ioverlay_api::{Context, Msg, Nanos, NodeId, TimerToken};
 use ioverlay_telemetry::{NodeTelemetry, TelemetrySnapshot};
+
+use crate::peer::SenderLink;
 
 /// Effects staged by an algorithm during one callback; the engine thread
 /// applies them after the callback returns. This keeps the algorithm
 /// strictly reactive and single-threaded, as the paper requires.
+///
+/// One instance lives in the engine state for the node's lifetime: it is
+/// lent to each callback's context and drained — never dropped — when
+/// its effects are applied, so a forwarded message allocates nothing
+/// here once the vectors have grown to the callback's fan-out.
 #[derive(Debug, Default)]
 pub(crate) struct StagedEffects {
     pub sends: Vec<(Msg, NodeId)>,
@@ -20,20 +29,22 @@ pub(crate) struct StagedEffects {
     pub closes: Vec<NodeId>,
 }
 
-/// A read-only snapshot of the node plus a staging area, implementing
+/// A read-only view of the node plus a staging area, implementing
 /// [`Context`] for the real engine.
 pub(crate) struct EngineCtx<'a> {
     pub id: NodeId,
     pub now: Nanos,
     pub observer: Option<NodeId>,
     pub buffer_capacity: usize,
-    /// `(dest, depth)` snapshot of sender links taken before the callback.
-    pub backlogs: &'a [(NodeId, usize)],
+    /// The live sender links: [`Context::backlog`] reads a link's depth
+    /// when an algorithm asks, so one that never asks pays for no queue
+    /// lock.
+    pub senders: &'a BTreeMap<NodeId, SenderLink>,
     pub rng: &'a mut rand::rngs::StdRng,
     /// The node's live telemetry registry, exposed read-only to the
     /// algorithm through [`Context::telemetry`].
     pub tel: &'a NodeTelemetry,
-    pub staged: StagedEffects,
+    pub staged: &'a mut StagedEffects,
 }
 
 impl Context for EngineCtx<'_> {
@@ -73,8 +84,8 @@ impl Context for EngineCtx<'_> {
             .iter()
             .find(|(d, _)| *d == dest)
             .map_or(0, |(_, n)| *n);
-        match self.backlogs.iter().find(|(d, _)| *d == dest) {
-            Some((_, depth)) => Some(depth + staged),
+        match self.senders.get(&dest) {
+            Some(link) => Some(link.depth() + staged),
             None if staged > 0 => Some(staged),
             None => None,
         }
@@ -117,21 +128,31 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn backlog_includes_staged_sends() {
+    fn backlog_includes_staged_sends_and_parked_pending() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
         let dest = NodeId::loopback(2);
-        let backlogs = vec![(dest, 3)];
+        // A link with two messages in its buffer and one parked behind.
+        let mut link = SenderLink::detached(10);
+        for seq in 0..2 {
+            link.queue
+                .push(Msg::data(NodeId::loopback(1), 0, seq, &b"x"[..]))
+                .unwrap();
+        }
+        link.pending
+            .push_back(Msg::control(MsgType::Data, NodeId::loopback(1), 0));
+        let senders = BTreeMap::from([(dest, link)]);
         let tel = NodeTelemetry::new(true, 8);
         tel.record_switch_batch(5, 9);
+        let mut staged = StagedEffects::default();
         let mut ctx = EngineCtx {
             id: NodeId::loopback(1),
             now: 0,
             observer: None,
             buffer_capacity: 10,
-            backlogs: &backlogs,
+            senders: &senders,
             rng: &mut rng,
             tel: &tel,
-            staged: StagedEffects::default(),
+            staged: &mut staged,
         };
         let snap = ctx.telemetry().expect("telemetry enabled");
         assert_eq!(snap.counter("msgs_switched"), Some(5));

@@ -50,6 +50,31 @@ fn make_bucket(rate: Option<Rate>, now: Nanos) -> SharedBucket {
     ))
 }
 
+/// Sends collected per destination while a batch is being dispatched,
+/// pushed into each sender queue with one `push_batch` by
+/// [`EngineState::flush_send_stage`]. A destination's vector stays
+/// (empty) between flushes, so staging allocates only on growth.
+#[derive(Default)]
+pub(crate) struct SendStage {
+    by_dest: BTreeMap<NodeId, Vec<Msg>>,
+    /// Destinations whose vector is non-empty.
+    dirty: Vec<NodeId>,
+}
+
+impl SendStage {
+    fn push(&mut self, dest: NodeId, msg: Msg) {
+        let msgs = self.by_dest.entry(dest).or_default();
+        if msgs.is_empty() {
+            self.dirty.push(dest);
+        }
+        msgs.push(msg);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.dirty.is_empty()
+    }
+}
+
 /// Everything the engine thread owns.
 pub(crate) struct EngineState {
     pub id: NodeId,
@@ -81,12 +106,25 @@ pub(crate) struct EngineState {
     pub probe_seq: u32,
     /// Rotates the blocked-fanout retry order (upstream fairness).
     pub retry_rotor: u64,
-    /// Forwarded sends collected per destination while a `pop_batch`'d
-    /// batch is being dispatched; flushed with one `push_batch` per
-    /// destination by [`EngineState::flush_send_stage`]. Only filled for
-    /// upstream-attributed dispatches (`from_upstream.is_some()`), so a
-    /// whole stage shares one upstream for blocked-bookkeeping.
-    pub send_stage: BTreeMap<NodeId, Vec<Msg>>,
+    /// How often the idle time-out, not an event, woke the engine to
+    /// messages it could move: wake-ups lost and covered for by the
+    /// safety net (see [`run_engine`]). Exported as a counter of every
+    /// status report's telemetry; 0 while the wake-up protocol holds.
+    pub idle_fallback_hits: u64,
+    /// Sends staged by the dispatches since the last flush. Forwarded
+    /// dispatches flush once per switch quantum, so a whole stage shares
+    /// one upstream for blocked-bookkeeping; local ones flush per
+    /// callback.
+    pub send_stage: SendStage,
+    /// The staging area lent to every algorithm callback's context and
+    /// drained by [`EngineState::apply_staged`].
+    pub staged: StagedEffects,
+    /// Reusable scratch of [`EngineState::switch_round`]: the quantum
+    /// popped off the chosen upstream.
+    pub switch_batch: Vec<Msg>,
+    /// Reusable scratch of [`EngineState::flush_send_stage`]: where in a
+    /// destination's batch each run of one application's data starts.
+    pub app_runs: Vec<(usize, AppId)>,
     /// Node-local metrics registry, shared with every socket thread and
     /// the control listener.
     pub tel: Arc<NodeTelemetry>,
@@ -157,7 +195,11 @@ impl EngineState {
             probes: HashMap::new(),
             probe_seq: 0,
             retry_rotor: 0,
-            send_stage: BTreeMap::new(),
+            idle_fallback_hits: 0,
+            send_stage: SendStage::default(),
+            staged: StagedEffects::default(),
+            switch_batch: Vec::new(),
+            app_runs: Vec::new(),
             poison_reported: 0,
             tel,
             trace_count: 0,
@@ -206,43 +248,45 @@ impl EngineState {
     // algorithm invocation
     // ------------------------------------------------------------------
 
-    fn run_algorithm<F>(&mut self, from_upstream: Option<NodeId>, f: F)
+    /// Runs one algorithm callback with a context reading `now`, then
+    /// applies what it staged.
+    fn run_algorithm<F>(&mut self, from_upstream: Option<NodeId>, now: Nanos, f: F)
     where
         F: FnOnce(&mut dyn Algorithm, &mut EngineCtx<'_>),
     {
         let Some(mut alg) = self.alg.take() else {
             return;
         };
-        let backlogs: Vec<(NodeId, usize)> = self
-            .senders
-            .iter()
-            .map(|(&d, s)| (d, s.depth()))
-            .collect();
-        let staged = {
+        // Callbacks never nest, so the scratch is always home here.
+        let mut staged = std::mem::take(&mut self.staged);
+        {
             let mut ctx = EngineCtx {
                 id: self.id,
-                now: self.now(),
+                now,
                 observer: self.config.observer,
                 buffer_capacity: self.config.buffer_msgs,
-                backlogs: &backlogs,
+                senders: &self.senders,
                 rng: &mut self.rng,
                 tel: &self.tel,
-                staged: StagedEffects::default(),
+                staged: &mut staged,
             };
             f(alg.as_mut(), &mut ctx);
-            ctx.staged
-        };
+        }
         self.alg = Some(alg);
-        self.apply_staged(from_upstream, staged);
+        self.apply_staged(from_upstream, &mut staged);
+        self.staged = staged;
     }
 
-    fn apply_staged(&mut self, from_upstream: Option<NodeId>, staged: StagedEffects) {
+    /// Applies and drains `staged`, leaving its vectors empty with their
+    /// capacity for the next callback.
+    fn apply_staged(&mut self, from_upstream: Option<NodeId>, staged: &mut StagedEffects) {
         // Sends are staged per destination and pushed into sender queues
         // in one push_batch per flush; see `flush_send_stage`. Forwarded
         // dispatches flush once per switch quantum, local dispatches
         // flush at the end of this call (so a pump emitting hundreds of
         // messages in one callback still pays one lock per destination).
-        for (mut msg, dest) in staged.sends {
+        staged.send_counts.clear();
+        for (mut msg, dest) in staged.sends.drain(..) {
             // Tracing sampler: every `trace_sample`-th locally
             // originated data message starts a trace here, at the one
             // point all source sends funnel through.
@@ -260,26 +304,28 @@ impl EngineState {
                     self.tel.start_trace(self.id, &mut msg, now);
                 }
             }
-            self.send_stage.entry(dest).or_default().push(msg);
+            self.send_stage.push(dest, msg);
         }
-        for msg in staged.observer_msgs {
+        for msg in staged.observer_msgs.drain(..) {
             if let Some(observer) = self.config.observer {
                 // The observer connection is an ordinary persistent link.
                 let _ = self.enqueue_send(observer, msg, None);
             }
         }
-        let now = self.now();
-        for (delay, token) in staged.timers {
-            self.timer_seq += 1;
-            self.timers
-                .push(std::cmp::Reverse((now + delay, self.timer_seq, token)));
-        }
-        for peer in staged.probes {
-            self.probe_seq += 1;
-            let seq = self.probe_seq;
-            self.probes.insert(seq, (peer, now));
-            let ping = Msg::new(MsgType::Ping, self.id, 0, seq, bytes::Bytes::new());
-            let _ = self.enqueue_send(peer, ping, None);
+        if !staged.timers.is_empty() || !staged.probes.is_empty() {
+            let now = self.now();
+            for (delay, token) in staged.timers.drain(..) {
+                self.timer_seq += 1;
+                self.timers
+                    .push(std::cmp::Reverse((now + delay, self.timer_seq, token)));
+            }
+            for peer in staged.probes.drain(..) {
+                self.probe_seq += 1;
+                let seq = self.probe_seq;
+                self.probes.insert(seq, (peer, now));
+                let ping = Msg::new(MsgType::Ping, self.id, 0, seq, bytes::Bytes::new());
+                let _ = self.enqueue_send(peer, ping, None);
+            }
         }
         if !staged.closes.is_empty() {
             // Deliver anything staged toward a peer before tearing its
@@ -287,7 +333,7 @@ impl EngineState {
             if !self.send_stage.is_empty() {
                 self.flush_send_stage(from_upstream);
             }
-            for peer in staged.closes {
+            for peer in staged.closes.drain(..) {
                 self.close_downstream(peer, true);
             }
         }
@@ -372,6 +418,8 @@ impl EngineState {
     fn dial_sender(&mut self, dest: NodeId) -> std::io::Result<SenderLink> {
         let stream = connect_to_peer(self.id, dest, self.config.socket_buf_bytes)?;
         let queue = CircularQueue::with_capacity(self.config.buffer_msgs);
+        let env = self.link_env();
+        env.wake_on_space(&queue);
         let meter = Arc::new(Mutex::new(
             &classes::ENGINE_METER,
             ThroughputMeter::new(self.config.measure_window),
@@ -392,7 +440,7 @@ impl EngineState {
             // Thread-resource exhaustion is a failure signal like a
             // failed dial, not a reason to panic the engine.
             let io = stream.try_clone()?;
-            let (env, queue, meter) = (self.link_env(), queue.clone(), meter.clone());
+            let (queue, meter) = (queue.clone(), meter.clone());
             let thread = thread::Builder::new()
                 .name(format!("snd-{dest}"))
                 .spawn(move || run_sender(env, dest, io, queue, meter, chain))?;
@@ -419,7 +467,10 @@ impl EngineState {
         }
     }
 
-    fn retry_blocked(&mut self) {
+    /// Re-forwards what full send buffers refused earlier, in order;
+    /// returns how many messages found room this time.
+    fn retry_blocked(&mut self) -> usize {
+        let mut moved = 0;
         let mut keys: Vec<NodeId> = self.blocked.keys().copied().collect();
         // Rotate the retry order so competing upstreams take turns at a
         // freed sender slot instead of the smallest id always winning.
@@ -448,101 +499,118 @@ impl EngineState {
                     still.push((msg, dest));
                 }
             }
-            let retried = (total - still.len()) as u64;
+            let retried = total - still.len();
+            moved += retried;
             if retried > 0 && self.tel.enabled() {
-                self.tel.record_forward_retry(self.now(), up, retried);
+                self.tel
+                    .record_forward_retry(self.now(), up, retried as u64);
             }
             if !still.is_empty() {
                 self.blocked.insert(up, still);
             }
         }
+        moved
     }
 
     /// Pushes everything staged by the last dispatch(es) into the sender
     /// queues — one `push_batch` (one lock acquisition, one wakeup) per
-    /// destination. Forwarded leftovers (`up == Some(..)`) are recorded
-    /// as blocked on that upstream, exactly as a failed per-message
-    /// `try_push` used to be; locally originated leftovers (`up == None`)
-    /// park in the sender's unbounded `pending` list, exactly as
-    /// `enqueue_send` parks them.
+    /// destination, in address order. Forwarded leftovers
+    /// (`up == Some(..)`) are recorded as blocked on that upstream,
+    /// exactly as a failed per-message `try_push` used to be; locally
+    /// originated leftovers (`up == None`) park in the sender's
+    /// unbounded `pending` list, exactly as `enqueue_send` parks them.
     fn flush_send_stage(&mut self, up: Option<NodeId>) {
-        while let Some((dest, mut msgs)) = self.send_stage.pop_first() {
-            if dest == self.id {
-                continue; // self-sends are consumed
+        // Nothing below stages a send, so the stage can leave `self`
+        // for the duration and come back with its vectors.
+        let mut stage = std::mem::take(&mut self.send_stage);
+        stage.dirty.sort_unstable();
+        for dest in stage.dirty.drain(..) {
+            if let Some(msgs) = stage.by_dest.get_mut(&dest) {
+                self.flush_to(dest, msgs, up);
+                msgs.clear(); // what `flush_to` left was consumed (lost)
             }
-            if !self.senders.contains_key(&dest) && !self.open_sender(dest) {
-                continue; // connection failed; messages are consumed (lost)
-            }
-            // Flow accounting happens at the stage flush: the whole
-            // batch is walked once here, and blocked leftovers retry
-            // through `try_push` (never back through this path), so
-            // every message is counted exactly once.
-            if self.config.health && self.tel.enabled() {
-                self.flow_stage.clear();
-                for m in &msgs {
-                    let key = ioverlay_telemetry::FlowKey {
-                        src: m.origin(),
-                        dst: dest,
-                        kind: m.ty().to_wire(),
-                    };
-                    let bytes = m.wire_len() as u64;
-                    match self.flow_stage.iter_mut().find(|(k, _, _)| *k == key) {
-                        Some((_, n, b)) => {
-                            *n += 1;
-                            *b += bytes;
-                        }
-                        None => self.flow_stage.push((key, 1, bytes)),
+        }
+        self.send_stage = stage;
+    }
+
+    /// One destination's share of [`Self::flush_send_stage`]; drains
+    /// from `msgs` whatever it placed, blocked or parked.
+    fn flush_to(&mut self, dest: NodeId, msgs: &mut Vec<Msg>, up: Option<NodeId>) {
+        if dest == self.id {
+            return; // self-sends are consumed
+        }
+        if !self.senders.contains_key(&dest) && !self.open_sender(dest) {
+            return; // connection failed; messages are consumed (lost)
+        }
+        // Flow accounting happens at the stage flush: the whole
+        // batch is walked once here, and blocked leftovers retry
+        // through `try_push` (never back through this path), so
+        // every message is counted exactly once.
+        if self.config.health && self.tel.enabled() {
+            self.flow_stage.clear();
+            for m in msgs.iter() {
+                let key = ioverlay_telemetry::FlowKey {
+                    src: m.origin(),
+                    dst: dest,
+                    kind: m.ty().to_wire(),
+                };
+                let bytes = m.wire_len() as u64;
+                match self.flow_stage.iter_mut().find(|(k, _, _)| *k == key) {
+                    Some((_, n, b)) => {
+                        *n += 1;
+                        *b += bytes;
                     }
-                }
-                self.tel.record_flow_batch(&self.flow_stage);
-            }
-            // Remember which messages carry data *before* push_batch
-            // drains the accepted prefix out of the vec.
-            let data_apps: Vec<Option<AppId>> = msgs
-                .iter()
-                .map(|m| (m.ty() == MsgType::Data).then(|| m.app()))
-                .collect();
-            let Some(sender) = self.senders.get_mut(&dest) else {
-                // open_sender just inserted the link (unreachable in
-                // practice); consume the batch like a failed dial.
-                continue;
-            };
-            // Local sends must not overtake messages already parked in
-            // `pending`, so they only push_batch when pending is empty.
-            let accepted = if up.is_none() && !sender.pending.is_empty() {
-                0
-            } else {
-                sender.queue.push_batch(&mut msgs)
-            };
-            match up {
-                Some(u) => {
-                    for app in data_apps[..accepted].iter().flatten() {
-                        self.app_downstreams.entry(*app).or_default().insert(dest);
-                    }
-                    if !msgs.is_empty() {
-                        if self.tel.enabled() {
-                            self.tel
-                                .record_buffer_full(self.now(), dest, msgs.len() as u64);
-                        }
-                        self.blocked
-                            .entry(u)
-                            .or_default()
-                            .extend(msgs.into_iter().map(|m| (m, dest)));
-                    }
-                }
-                None => {
-                    // enqueue_send registers local data sends even when
-                    // they park (accepted, just deferred) — match it.
-                    for app in data_apps.iter().flatten() {
-                        self.app_downstreams.entry(*app).or_default().insert(dest);
-                    }
-                    if !msgs.is_empty() {
-                        if let Some(sender) = self.senders.get_mut(&dest) {
-                            sender.pending.extend(msgs);
-                        }
-                    }
+                    None => self.flow_stage.push((key, 1, bytes)),
                 }
             }
+            self.tel.record_flow_batch(&self.flow_stage);
+        }
+        // Note where each application's data starts *before* push_batch
+        // drains the accepted prefix out of the vec: `dest` becomes a
+        // downstream of exactly the applications it accepted data of.
+        // A stream is one run, so this is one entry and one set insert
+        // per flush, not per message.
+        self.app_runs.clear();
+        for (i, m) in msgs.iter().enumerate() {
+            if m.ty() == MsgType::Data && self.app_runs.last().map(|r| r.1) != Some(m.app()) {
+                self.app_runs.push((i, m.app()));
+            }
+        }
+        let Some(sender) = self.senders.get_mut(&dest) else {
+            // open_sender just inserted the link (unreachable in
+            // practice); consume the batch like a failed dial.
+            return;
+        };
+        // Local sends must not overtake messages already parked in
+        // `pending`, so they only push_batch when pending is empty.
+        let accepted = if up.is_none() && !sender.pending.is_empty() {
+            0
+        } else {
+            sender.queue.push_batch(msgs)
+        };
+        // enqueue_send registers local data sends even when they park
+        // (accepted, just deferred) — match it.
+        let registered = if up.is_some() { accepted } else { usize::MAX };
+        for &(first, app) in &self.app_runs {
+            if first < registered {
+                self.app_downstreams.entry(app).or_default().insert(dest);
+            }
+        }
+        if msgs.is_empty() {
+            return;
+        }
+        match up {
+            Some(u) => {
+                if self.tel.enabled() {
+                    self.tel
+                        .record_buffer_full(self.now(), dest, msgs.len() as u64);
+                }
+                self.blocked
+                    .entry(u)
+                    .or_default()
+                    .extend(msgs.drain(..).map(|m| (m, dest)));
+            }
+            None => sender.pending.extend(msgs.drain(..)),
         }
     }
 
@@ -552,7 +620,8 @@ impl EngineState {
 
     /// One switching round: services receive buffers in WRR order until
     /// everything is blocked or drained, bounded by `budget` messages.
-    /// Returns how many messages were switched.
+    /// Returns how many messages it moved — switched, or re-forwarded
+    /// from the blocked lists.
     ///
     /// The fast path is batched: blocked fan-outs are retried once per
     /// *round* (not once per message), each chosen upstream is drained a
@@ -560,16 +629,16 @@ impl EngineState {
     /// of the whole batch reach each sender queue via one `push_batch`.
     fn switch_round(&mut self, budget: usize) -> usize {
         let round_start = if self.tel.enabled() { self.now() } else { 0 };
-        self.retry_blocked();
+        let retried = self.retry_blocked();
         let mut moved = 0;
         while moved < budget {
             let Some(msg) = self.local_inbox.pop_front() else {
                 break;
             };
-            self.dispatch_to_algorithm(None, msg);
+            self.dispatch_to_algorithm(None, self.now(), msg);
             moved += 1;
         }
-        let mut batch: Vec<Msg> = Vec::new();
+        let mut batch = std::mem::take(&mut self.switch_batch);
         while moved < budget {
             let Some(up) = self.pick_upstream() else { break };
             let quantum = SWITCH_QUANTUM.min(budget - moved);
@@ -585,7 +654,20 @@ impl EngineState {
             self.tel.record_switch_batch(n as u64, occupancy as u64);
             self.switched += n as u64;
             moved += n;
+            // One clock read serves the whole quantum's contexts.
+            let now = self.now();
+            // `up` carries data of an application: noted once per run of
+            // that application's messages, not once per message. Nothing
+            // of it outlives the quantum, and any other message (a
+            // `BrokenSource` may unregister `up`) ends the run.
+            let mut last_app = None;
             for msg in batch.drain(..) {
+                if msg.ty() != MsgType::Data {
+                    last_app = None;
+                } else if last_app != Some(msg.app()) {
+                    last_app = Some(msg.app());
+                    self.app_upstreams.entry(msg.app()).or_default().insert(up);
+                }
                 // Sampled messages get a `Switch` span around their
                 // dispatch; the hop span id rides in the carried context
                 // (rewritten by the receiver's `Recv` span).
@@ -594,7 +676,7 @@ impl EngineState {
                     .filter(ioverlay_api::TraceContext::is_sampled)
                     .map(|c| (c.trace_id, c.parent_span));
                 let start = if traced.is_some() { self.now() } else { 0 };
-                self.dispatch_to_algorithm(Some(up), msg);
+                self.dispatch_to_algorithm(Some(up), now, msg);
                 if let Some((trace_id, span_id)) = traced {
                     let end = self.now();
                     self.tel.record_hop_span(
@@ -610,13 +692,14 @@ impl EngineState {
             }
             self.flush_send_stage(Some(up));
         }
+        self.switch_batch = batch;
         // Idle rounds (nothing moved) are wakeup noise, not switching
         // work — keep them out of the latency histogram.
         if moved > 0 && self.tel.enabled() {
             self.tel
                 .record_switch_round(self.now().saturating_sub(round_start));
         }
-        moved
+        moved + retried
     }
 
     fn pick_upstream(&mut self) -> Option<NodeId> {
@@ -637,14 +720,9 @@ impl EngineState {
 
     /// Applies middleware semantics, then hands the message to the
     /// algorithm — the `Engine::process` / `Algorithm::process` split of
-    /// Table 1.
-    fn dispatch_to_algorithm(&mut self, from_upstream: Option<NodeId>, msg: Msg) {
+    /// Table 1 — with a context reading `now`.
+    fn dispatch_to_algorithm(&mut self, from_upstream: Option<NodeId>, now: Nanos, msg: Msg) {
         match msg.ty() {
-            MsgType::Data => {
-                if let Some(up) = from_upstream {
-                    self.app_upstreams.entry(msg.app()).or_default().insert(up);
-                }
-            }
             MsgType::Hello => return, // connection plumbing, not for the algorithm
             MsgType::Ping => {
                 // Engine-level: reply immediately with the same seq.
@@ -664,7 +742,7 @@ impl EngineState {
                         msg.seq(),
                         ControlParams::new(Some(rtt_micros), None).encode(),
                     );
-                    self.run_algorithm(None, |alg, ctx| alg.on_message(ctx, report));
+                    self.run_algorithm(None, now, |alg, ctx| alg.on_message(ctx, report));
                 }
                 return;
             }
@@ -708,7 +786,7 @@ impl EngineState {
             }
             _ => {}
         }
-        self.run_algorithm(from_upstream, |alg, ctx| alg.on_message(ctx, msg));
+        self.run_algorithm(from_upstream, now, |alg, ctx| alg.on_message(ctx, msg));
     }
 
     fn apply_set_bandwidth(&mut self, msg: &Msg) {
@@ -805,6 +883,7 @@ impl EngineState {
             }
         }
         self.link_buckets.remove(&peer);
+        self.send_stage.by_dest.remove(&peer);
         for set in self.app_downstreams.values_mut() {
             set.remove(&peer);
         }
@@ -904,7 +983,7 @@ impl EngineState {
                 break;
             }
             self.timers.pop();
-            self.run_algorithm(None, |alg, ctx| alg.on_timer(ctx, token));
+            self.run_algorithm(None, self.now(), |alg, ctx| alg.on_timer(ctx, token));
         }
     }
 
@@ -938,7 +1017,16 @@ impl EngineState {
                 .as_ref()
                 .map(|a| a.status())
                 .unwrap_or(serde_json::Value::Null),
-            telemetry: self.tel.enabled().then(|| self.tel.snapshot()),
+            telemetry: self.tel.enabled().then(|| {
+                // The one counter that is the engine loop's own, not a
+                // record site's: the simulator has no idle time-out, and
+                // its reports (golden-digested) carry the registry as is.
+                let mut snapshot = self.tel.snapshot();
+                snapshot
+                    .counters
+                    .push(("idle_fallback_hits".into(), self.idle_fallback_hits));
+                snapshot
+            }),
             spans: self.span_batch(false),
             series: self.series_batch(false),
             flows: (self.tel.enabled() && self.config.health)
@@ -1032,7 +1120,7 @@ pub(crate) fn run_engine(mut state: EngineState, events_rx: Receiver<ControlEven
         ));
     }
     state.bootstrap();
-    state.run_algorithm(None, |alg, ctx| alg.on_start(ctx));
+    state.run_algorithm(None, state.now(), |alg, ctx| alg.on_start(ctx));
     while state.running {
         // Decide how long to sleep: zero if there is switchable work.
         let has_work = !state.local_inbox.is_empty()
@@ -1047,11 +1135,15 @@ pub(crate) fn run_engine(mut state: EngineState, events_rx: Receiver<ControlEven
             .map(|std::cmp::Reverse((at, _, _))| *at)
             .unwrap_or(u64::MAX);
         let wake_at = next_timer.min(state.next_measure);
+        // With nothing to switch the engine parks until an event, a
+        // timer or the measure tick — and for 5 ms at most, so that a
+        // wake-up lost to a bug costs a delay, not a hang.
         let timeout = if has_work {
             Duration::ZERO
         } else {
             Duration::from_nanos(wake_at.saturating_sub(now).min(5_000_000))
         };
+        let mut woke_on_timeout = false;
         match events_rx.recv_timeout(timeout) {
             Ok(event) => {
                 handle_event(&mut state, event);
@@ -1060,11 +1152,18 @@ pub(crate) fn run_engine(mut state: EngineState, events_rx: Receiver<ControlEven
                     handle_event(&mut state, event);
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Timeout) => woke_on_timeout = !timeout.is_zero(),
             Err(RecvTimeoutError::Disconnected) => break,
         }
         state.flush_pending();
-        state.switch_round(1024);
+        let moved = state.switch_round(1024);
+        // Parked with nothing to do, woken by the clock alone, and yet
+        // there were messages to move: whoever made that work never said
+        // so. (A wake-up still in flight — its push done, its event not
+        // yet sent — has landed by the time the round is over.)
+        if woke_on_timeout && moved > 0 && events_rx.is_empty() {
+            state.idle_fallback_hits += 1;
+        }
         state.fire_due_timers();
         if state.now() >= state.next_measure {
             state.measure_tick();
@@ -1091,6 +1190,10 @@ pub(crate) fn run_engine(mut state: EngineState, events_rx: Receiver<ControlEven
     if let Some(flight) = state.flight.take() {
         crate::flight::unregister(&flight);
     }
+    // A queued `UpstreamOpened` holds a buffer whose wake-up hook holds a
+    // sender of this very channel; dropping it here, not with the
+    // channel, is what lets both (and the link's socket) go.
+    while events_rx.try_recv().is_ok() {}
 }
 
 fn handle_event(state: &mut EngineState, event: ControlEvent) {
@@ -1121,8 +1224,9 @@ fn handle_event(state: &mut EngineState, event: ControlEvent) {
         }
         ControlEvent::UpstreamFailed(peer) => state.handle_upstream_failed(peer),
         ControlEvent::DownstreamFailed(peer) => state.close_downstream(peer, true),
-        // Pure wakeups: the switch round that follows event handling
-        // does the actual work (drain receive buffers / retry blocked).
+        // Pure wakeups, sent by the link buffers' own edge hooks: the
+        // switch round that follows event handling does the actual work
+        // (drain receive buffers / retry blocked).
         ControlEvent::DataAvailable => {}
         ControlEvent::SendSpace => {
             if state.tel.enabled() {
@@ -1213,6 +1317,7 @@ fn handle_accepted(
     if first.ty() == MsgType::Hello {
         let peer = first.origin();
         let queue = CircularQueue::with_capacity(config.buffer_msgs);
+        env.wake_on_data(&queue);
         let meter = Arc::new(Mutex::new(
             &classes::ENGINE_METER,
             ThroughputMeter::new(config.measure_window),
@@ -1440,7 +1545,7 @@ mod tests {
             kbps: Some(30),
         };
         let msg = Msg::new(MsgType::SetBandwidth, state.id, 0, 0, payload.encode());
-        state.dispatch_to_algorithm(None, msg);
+        state.dispatch_to_algorithm(None, 0, msg);
         assert_eq!(state.up_bucket.lock().rate(), Rate::kbps(30));
         // The other buckets stay unlimited.
         assert!(state.total_bucket.lock().rate() > Rate::mbps(1_000_000));
@@ -1450,22 +1555,23 @@ mod tests {
     fn terminate_stops_the_engine_loop_flag() {
         let (mut state, _seen) = state();
         assert!(state.running);
-        state.dispatch_to_algorithm(None, Msg::control(MsgType::Terminate, state.id, 0));
+        state.dispatch_to_algorithm(None, 0, Msg::control(MsgType::Terminate, state.id, 0));
         assert!(!state.running);
     }
 
     #[test]
     fn engine_internal_types_never_reach_the_algorithm() {
         let (mut state, seen) = state();
-        state.dispatch_to_algorithm(None, Msg::control(MsgType::Hello, NodeId::loopback(2), 0));
+        state.dispatch_to_algorithm(None, 0, Msg::control(MsgType::Hello, NodeId::loopback(2), 0));
         state.dispatch_to_algorithm(
             None,
+            0,
             Msg::control(MsgType::Terminate, NodeId::loopback(2), 0),
         );
         assert!(seen.lock().is_empty(), "hello/terminate are engine-level");
         // Data does reach it.
         state.running = true;
-        state.dispatch_to_algorithm(None, Msg::data(NodeId::loopback(2), 1, 0, &b"x"[..]));
+        state.dispatch_to_algorithm(None, 0, Msg::data(NodeId::loopback(2), 1, 0, &b"x"[..]));
         assert_eq!(seen.lock().len(), 1);
     }
 
@@ -1475,7 +1581,7 @@ mod tests {
         // Arm three timers in scrambled order with tiny delays.
         state.apply_staged(
             None,
-            crate::ctx::StagedEffects {
+            &mut StagedEffects {
                 timers: vec![(2_000_000, 30), (0, 10), (1_000_000, 20)],
                 ..Default::default()
             },
@@ -1484,6 +1590,153 @@ mod tests {
         state.fire_due_timers();
         let tokens: Vec<u32> = seen.lock().iter().map(|m| m.seq()).collect();
         assert_eq!(tokens, vec![10, 20, 30]);
+    }
+
+    /// Stages one effect of every kind per data message and notes what
+    /// `backlog` said on the way in.
+    struct Stager {
+        dest: NodeId,
+        probed: NodeId,
+        backlog_seen: std::sync::Arc<Mutex<Vec<Option<usize>>>>,
+    }
+
+    impl Algorithm for Stager {
+        fn on_message(&mut self, ctx: &mut dyn ioverlay_api::Context, msg: Msg) {
+            if msg.ty() != MsgType::Data {
+                return;
+            }
+            self.backlog_seen.lock().push(ctx.backlog(self.probed));
+            ctx.send(msg, self.dest);
+            ctx.send_to_observer(Msg::control(MsgType::Custom(0x2001), ctx.local_id(), 0));
+            ctx.set_timer(1_000_000_000, 77);
+            ctx.probe_rtt(self.probed);
+            ctx.close_link(self.dest);
+        }
+    }
+
+    #[test]
+    fn one_callbacks_effects_are_applied_before_the_next_runs() {
+        let (dest, probed, observer) = (
+            NodeId::loopback(2),
+            NodeId::loopback(3),
+            NodeId::loopback(4),
+        );
+        let backlog_seen = std::sync::Arc::new(Mutex::new(&TEST_RECORDER, Vec::new()));
+        let alg = Stager {
+            dest,
+            probed,
+            backlog_seen: backlog_seen.clone(),
+        };
+        let mut state = EngineState::new(
+            NodeId::loopback(9_998),
+            EngineConfig::default().with_observer(observer),
+            Box::new(alg),
+            unbounded().0,
+        );
+        for peer in [dest, probed, observer] {
+            state.senders.insert(peer, SenderLink::detached(8));
+        }
+        let queue_of = |state: &EngineState, peer| state.senders[&peer].queue.clone();
+        let (to_dest, to_probed, to_observer) = (
+            queue_of(&state, dest),
+            queue_of(&state, probed),
+            queue_of(&state, observer),
+        );
+        let data = Msg::data(NodeId::loopback(7), 1, 0, &b"x"[..]);
+        state.dispatch_to_algorithm(Some(NodeId::loopback(7)), 0, data.clone());
+
+        // Send-then-close: a closed buffer takes nothing, so the data is
+        // in it only because the stage was flushed before the close.
+        assert!(to_dest.is_closed() && !state.senders.contains_key(&dest));
+        assert_eq!(to_dest.try_pop(), Some(data.clone()));
+        assert_eq!(to_observer.len(), 1);
+        assert_eq!(to_probed.try_pop().map(|m| m.ty()), Some(MsgType::Ping));
+        assert_eq!((state.timers.len(), state.probes.len()), (1, 1));
+        assert!(state.send_stage.is_empty(), "nothing waits for the quantum's flush");
+        let s = &state.staged;
+        assert!(
+            s.sends.is_empty()
+                && s.send_counts.is_empty()
+                && s.observer_msgs.is_empty()
+                && s.timers.is_empty()
+                && s.probes.is_empty()
+                && s.closes.is_empty(),
+            "the scratch comes back drained: {s:?}"
+        );
+
+        // The second callback already sees the first one's probe queued.
+        to_probed.push(Msg::control(MsgType::Ping, state.id, 0)).unwrap();
+        state.senders.insert(dest, SenderLink::detached(8));
+        state.dispatch_to_algorithm(Some(NodeId::loopback(7)), 0, data);
+        assert_eq!(*backlog_seen.lock(), vec![Some(0), Some(1)]);
+        assert_eq!((state.timers.len(), state.probes.len()), (2, 2));
+    }
+
+    /// The forwarded-message path allocates nothing in steady state: the
+    /// staged-effects scratch and the per-destination stage vectors are
+    /// the same buffers, at the same capacity, a thousand quanta later.
+    #[test]
+    fn a_thousand_quanta_leave_the_dispatch_scratch_where_it_was() {
+        let (up, dest) = (NodeId::loopback(2), NodeId::loopback(3));
+        let alg = ioverlay_algorithms::StaticForwarder::new().route(1, vec![dest]);
+        let mut state = EngineState::new(
+            NodeId::loopback(9_997),
+            EngineConfig::default(),
+            Box::new(alg),
+            unbounded().0,
+        );
+        let inbound = CircularQueue::with_capacity(SWITCH_QUANTUM);
+        state.receivers.insert(
+            up,
+            ReceiverLink {
+                queue: inbound.clone(),
+                meter: Arc::new(Mutex::new(
+                    &classes::ENGINE_METER,
+                    ThroughputMeter::new(1_000_000_000),
+                )),
+                opened: 0,
+                stream: None,
+            },
+        );
+        state.wrr.set_weight(up, 1);
+        state
+            .senders
+            .insert(dest, SenderLink::detached(SWITCH_QUANTUM));
+        let outbound = state.senders[&dest].queue.clone();
+        let payload = bytes::Bytes::from(vec![7u8; 64]);
+        let mut sink = Vec::new();
+        let mut quantum = |state: &mut EngineState, round: u32| {
+            for i in 0..SWITCH_QUANTUM as u32 {
+                let seq = round * SWITCH_QUANTUM as u32 + i;
+                inbound.push(Msg::data(up, 1, seq, payload.clone())).unwrap();
+            }
+            assert_eq!(state.switch_round(1024), SWITCH_QUANTUM);
+            sink.clear();
+            assert_eq!(outbound.pop_batch(usize::MAX, &mut sink), SWITCH_QUANTUM);
+            assert!(sink.iter().map(Msg::seq).is_sorted());
+        };
+        let fingerprint = |state: &EngineState| {
+            let s = &state.staged;
+            let stage = &state.send_stage.by_dest[&dest];
+            [
+                (s.sends.as_ptr() as usize, s.sends.capacity()),
+                (s.send_counts.as_ptr() as usize, s.send_counts.capacity()),
+                (stage.as_ptr() as usize, stage.capacity()),
+                (
+                    state.switch_batch.as_ptr() as usize,
+                    state.switch_batch.capacity(),
+                ),
+            ]
+        };
+        quantum(&mut state, 0); // warm-up: the vectors grow once
+        let before = fingerprint(&state);
+        for round in 1..=1_000 {
+            quantum(&mut state, round);
+        }
+        assert_eq!(fingerprint(&state), before);
+        assert_eq!(state.switched, 1_001 * SWITCH_QUANTUM as u64);
+        assert!(state.app_upstreams[&1].contains(&up));
+        assert!(state.app_downstreams[&1].contains(&dest));
     }
 
     #[test]
@@ -1510,6 +1763,7 @@ mod tests {
             .insert(NodeId::loopback(1)); // unreachable downstream
         state.dispatch_to_algorithm(
             Some(upstream),
+            0,
             Msg::control(MsgType::BrokenSource, upstream, 5),
         );
         assert!(!state.app_downstreams.contains_key(&5), "routes cleared");

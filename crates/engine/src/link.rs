@@ -6,6 +6,9 @@
 //! downlink reservation). Outbound: [`LinkEnv::stage`] a popped batch,
 //! [`LinkEnv::serialize`] it into its gather list, [`LinkEnv::pace`] it
 //! (one uplink reservation), and [`LinkEnv::finish`] it once written.
+//! The engine's wake-ups are here too: [`LinkEnv::wake_on_data`] and
+//! [`LinkEnv::wake_on_space`] hang them on the link queue's own
+//! empty/full edges, so neither backend decides when to send one.
 //! What differs per backend is only how it *waits* — `peer.rs` parks a
 //! thread per link in the socket call and for the length of a
 //! reservation, `shard.rs` turns both into readiness and timers — so
@@ -17,6 +20,7 @@
 use crossbeam_channel::Sender;
 use ioverlay_api::{Msg, Nanos, NodeId};
 use ioverlay_message::{DecodeError, Decoder, TraceContext, WireBatch};
+use ioverlay_queue::CircularQueue;
 use ioverlay_ratelimit::{BucketChain, Clock, SystemClock, ThroughputMeter};
 use ioverlay_telemetry::{NodeTelemetry, SpanStage};
 
@@ -64,6 +68,30 @@ pub(crate) struct Outbound {
 }
 
 impl LinkEnv {
+    /// Makes a receive buffer wake the engine: `DataAvailable` whenever
+    /// a push finds it empty. The queue observes that edge under its own
+    /// lock, in whichever of `push` / `push_batch` crossed it — a worker
+    /// that looked at `is_empty()` before pushing would miss the case
+    /// where the engine drains the buffer while the worker is parked in
+    /// a blocking `push`. Installed by whoever creates the buffer,
+    /// before any worker can touch it.
+    pub(crate) fn wake_on_data(&self, queue: &CircularQueue<Msg>) {
+        let events = self.events.clone();
+        queue.set_data_hook(Some(Arc::new(move || {
+            let _ = events.send(ControlEvent::DataAvailable);
+        })));
+    }
+
+    /// Makes a send buffer wake the engine: `SendSpace` whenever a pop
+    /// finds it full — the engine may be parked with fan-outs it could
+    /// not place there.
+    pub(crate) fn wake_on_space(&self, queue: &CircularQueue<Msg>) {
+        let events = self.events.clone();
+        queue.set_space_hook(Some(Arc::new(move || {
+            let _ = events.send(ControlEvent::SendSpace);
+        })));
+    }
+
     /// The `(trace_id, hop span id)` pairs of the sampled messages in
     /// `batch` (empty almost always; tracing is opt-in sampled).
     fn traced_in(&self, batch: &[Msg]) -> Vec<(u64, u64)> {
@@ -224,7 +252,8 @@ impl LinkEnv {
 
     /// Accounts a batch whose last byte just left for `peer`: `Write`
     /// spans from `write_start` (a [`LinkEnv::span_now`] taken before
-    /// the write), the send counters, and the link's meter sample.
+    /// the write), the send counters with one syscall sample per write
+    /// call the batch took, and the link's meter sample.
     pub(crate) fn finish(
         &self,
         peer: NodeId,
@@ -234,7 +263,8 @@ impl LinkEnv {
     ) {
         let now = self.clock.now();
         self.hop_spans(peer, &out.traced, SpanStage::Write, write_start, now);
-        self.tel.record_send_batch(out.msgs, out.bytes);
+        self.tel
+            .record_send_writes(out.msgs, out.bytes, out.wire.writes() as u64);
         meter.lock().record_batch(out.bytes, out.msgs, now);
     }
 }
@@ -368,6 +398,56 @@ mod tests {
         assert_eq!(env.tel.snapshot().counter("msgs_sent"), Some(4));
         assert_eq!(meter.lock().total_msgs(), 4);
         assert_eq!(meter.lock().total_bytes(), out.bytes);
+    }
+
+    #[test]
+    fn buffer_edges_wake_the_engine_once_each() {
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let env = LinkEnv::for_test(tx);
+        let queue = CircularQueue::with_capacity(2);
+        env.wake_on_data(&queue);
+        env.wake_on_space(&queue);
+        let msg = || Msg::data(peer(), 7, 0, &b"x"[..]);
+        queue.push(msg()).unwrap(); // empty → non-empty
+        queue.push(msg()).unwrap();
+        assert!(queue.try_pop().is_some()); // full → non-full
+        assert!(queue.try_pop().is_some());
+        let mut batch = vec![msg(), msg(), msg()];
+        assert_eq!(queue.push_batch(&mut batch), 2); // empty → non-empty
+        let events: Vec<ControlEvent> = std::iter::from_fn(|| rx.try_recv().ok()).collect();
+        assert!(
+            matches!(
+                events[..],
+                [
+                    ControlEvent::DataAvailable,
+                    ControlEvent::SendSpace,
+                    ControlEvent::DataAvailable
+                ]
+            ),
+            "{events:?}"
+        );
+    }
+
+    #[test]
+    fn a_batch_that_took_two_writes_records_two_syscall_samples() {
+        let env = env();
+        // 40 payloads above the coalescing size: 80 gather segments,
+        // more than one `writev` takes.
+        let batch: Vec<Msg> = (0..40)
+            .map(|s| Msg::data(peer(), 7, s, vec![0u8; 2048]))
+            .collect();
+        let mut out = Outbound::default();
+        env.stage(&batch, &mut out);
+        env.serialize(peer(), &batch, &mut out);
+        let mut sink = Vec::new();
+        out.wire.write_to(&mut sink).unwrap();
+        let meter = Mutex::new(&classes::ENGINE_METER, ThroughputMeter::new(1_000_000_000));
+        env.finish(peer(), &out, &meter, 0);
+        let snap = env.tel.snapshot();
+        let syscalls = snap.histogram("send_syscall_bytes").unwrap();
+        assert_eq!((syscalls.count, syscalls.sum), (2, out.bytes));
+        assert_eq!(snap.histogram("send_batch_msgs").unwrap().count, 1);
+        assert_eq!(sink.len() as u64, out.bytes);
     }
 
     #[test]

@@ -59,12 +59,15 @@ pub(crate) enum ControlEvent {
     UpstreamFailed(NodeId),
     /// A sender thread saw its socket die.
     DownstreamFailed(NodeId),
-    /// A receiver enqueued into an empty buffer; the engine should wake.
+    /// A push found a receive buffer empty; the engine should wake.
+    /// Sent by the buffer's data hook ([`LinkEnv::wake_on_data`]) and by
+    /// nothing else.
     DataAvailable,
-    /// A sender thread drained a previously *full* send buffer; the
-    /// engine should wake and retry blocked fan-outs (without this the
-    /// engine only notices freed space on its 5 ms fallback tick —
-    /// turning a saturated relay into stop-and-wait).
+    /// A pop found a send buffer *full*; the engine should wake and
+    /// retry blocked fan-outs (without this the engine only notices
+    /// freed space on its 5 ms fallback tick — turning a saturated relay
+    /// into stop-and-wait). Sent by the buffer's space hook
+    /// ([`LinkEnv::wake_on_space`]) and by nothing else.
     SendSpace,
     /// Reply-carrying status request from the local handle.
     StatusRequest(Sender<ioverlay_api::StatusReport>),
@@ -101,6 +104,24 @@ impl SenderLink {
         }
         if let Some(t) = self.thread.take() {
             let _ = t.join();
+        }
+    }
+}
+
+#[cfg(test)]
+impl SenderLink {
+    /// A link with a `capacity`-message buffer and no socket or thread
+    /// behind it: what the engine sees of a downstream, for unit tests.
+    pub(crate) fn detached(capacity: usize) -> SenderLink {
+        SenderLink {
+            queue: CircularQueue::with_capacity(capacity),
+            pending: std::collections::VecDeque::new(),
+            meter: Arc::new(Mutex::new(
+                &crate::sync::classes::ENGINE_METER,
+                ThroughputMeter::new(1_000_000_000),
+            )),
+            stream: None,
+            thread: None,
         }
     }
 }
@@ -163,19 +184,15 @@ pub(crate) fn run_receiver(
         meter
             .lock()
             .record_batch(inbound.bytes, batch.len() as u64, env.clock.now());
-        let was_empty = queue.is_empty();
-        // Batch enqueue, falling back to a blocking push when full so
-        // back pressure still stalls the read loop (and the TCP window).
-        while !batch.is_empty() {
-            if queue.push_batch(&mut batch) == 0 {
-                let first = batch.remove(0);
-                if queue.push(first).is_err() {
-                    break 'conn; // engine closed the link
-                }
+        // Batch enqueue; what a full buffer leaves over goes in one
+        // blocking push at a time, so back pressure still stalls the
+        // read loop (and the TCP window). The buffer's data hook wakes
+        // the engine from whichever push finds it empty.
+        queue.push_batch(&mut batch);
+        for msg in batch.drain(..) {
+            if queue.push(msg).is_err() {
+                break 'conn; // engine closed the link
             }
-        }
-        if was_empty {
-            let _ = env.events.send(ControlEvent::DataAvailable);
         }
     }
 }
@@ -204,12 +221,6 @@ pub(crate) fn run_sender(
             PopTimeout::Item(first) => {
                 batch.push(first);
                 queue.pop_batch(SEND_BATCH_MAX - 1, &mut batch);
-                // Only this thread pops, so `len + popped >= capacity`
-                // exactly when the buffer was full before the pop — the
-                // engine may be parked on it with blocked fan-outs.
-                if queue.len() + batch.len() >= queue.capacity() {
-                    let _ = env.events.send(ControlEvent::SendSpace);
-                }
                 // Reserve first and serialize after the wait, so the
                 // gather list is built right before its write.
                 env.stage(&batch, &mut out);
@@ -303,6 +314,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let peer = NodeId::loopback(1);
         let env = LinkEnv::for_test(tx);
+        env.wake_on_data(&queue);
         let tel = env.tel.clone();
         run_receiver(
             env,
@@ -321,6 +333,60 @@ mod tests {
         let snap = tel.snapshot();
         assert_eq!(snap.counter("msgs_received"), Some(1));
         assert!(snap.counter("bytes_received").unwrap() > 0);
+    }
+
+    /// The wake-up the hand-rolled `was_empty` check lost: the receiver
+    /// looked at the buffer once, before its push loop, found it
+    /// non-empty, and then sat in a blocking `push` on the full buffer
+    /// while the engine drained it to empty and parked. The push that
+    /// refilled the *empty* buffer announced nothing.
+    #[test]
+    fn receiver_wakes_engine_when_a_blocked_push_refills_an_empty_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let (tx, rx) = unbounded();
+        let env = LinkEnv::for_test(tx);
+        let queue = CircularQueue::with_capacity(2);
+        env.wake_on_data(&queue);
+        // Pre-loaded, so the first thing the receiver sees is non-empty.
+        queue.push(Msg::data(NodeId::loopback(1), 7, 0, vec![0u8; 8])).unwrap();
+        let meter = Arc::new(Mutex::new(
+            &classes::ENGINE_METER,
+            ThroughputMeter::new(1_000_000_000)));
+        let receiver = {
+            let queue = queue.clone();
+            thread::spawn(move || {
+                run_receiver(env, NodeId::loopback(1), conn, queue, meter, BucketChain::new());
+            })
+        };
+        // Five messages in one write: one fits, the receiver blocks on
+        // the second with three more behind it.
+        let mut wire = Vec::new();
+        for seq in 1..=5u32 {
+            wire.extend_from_slice(&Msg::data(NodeId::loopback(1), 7, seq, vec![0u8; 8]).encode());
+        }
+        (&stream).write_all(&wire).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while queue.len() < 2 {
+            assert!(std::time::Instant::now() < deadline, "receiver never filled the buffer");
+            thread::sleep(Duration::from_millis(1));
+        }
+        // The buffer is full, so no push can cross the empty edge until
+        // it is drained: whatever is in the channel now is stale.
+        while rx.try_recv().is_ok() {}
+        let mut drained = Vec::new();
+        assert_eq!(queue.pop_batch(2, &mut drained), 2);
+        // The engine would park here. The blocked push now lands in an
+        // empty buffer and must say so.
+        match rx.recv_timeout(Duration::from_secs(1)) {
+            Ok(ControlEvent::DataAvailable) => {}
+            other => panic!("no wake-up for a push into the drained buffer: {other:?}"),
+        }
+        assert!(!queue.is_empty());
+        queue.close();
+        receiver.join().unwrap();
     }
 
     #[test]

@@ -13,18 +13,21 @@
 //!
 //! * **ingress** — a readable socket is read a chunk at a time, decoded
 //!   incrementally, paced by the same [`BucketChain`], and pushed into
-//!   the link's receive buffer with `DataAvailable` on the empty edge.
-//!   A full buffer *pauses read interest* instead of blocking a thread;
-//!   the queue's space hook (fired when the engine drains a full
-//!   buffer) resumes it. Back pressure still reaches the peer through
-//!   the un-read TCP window.
+//!   the link's receive buffer, whose data hook (installed by the
+//!   engine side, [`LinkEnv::wake_on_data`]) sends `DataAvailable` on
+//!   the empty edge. A full buffer *pauses read interest* instead of
+//!   blocking a thread; the queue's space hook (the shard's slot, fired
+//!   when the engine drains a full buffer) resumes it. Back pressure
+//!   still reaches the peer through the un-read TCP window.
 //! * **egress** — the engine fills the link's send buffer exactly as
 //!   before; the queue's data hook nudges the owning shard, which
 //!   drains a batch, stages it as a gather list, reserves bandwidth
 //!   once per batch, and issues *non-blocking vectored writes*.
 //!   `WOULDBLOCK` parks the link on write readiness with the staged
 //!   bytes kept for resumption; a drain that found the buffer full
-//!   emits `SendSpace`, same as the blocking sender thread.
+//!   fires its space hook (the engine's slot,
+//!   [`LinkEnv::wake_on_space`]): `SendSpace`, same as under the
+//!   blocking sender thread.
 //! * **pacing** — a token-bucket delay becomes a timer on the shard's
 //!   deadline heap, never a sleep: one slow emulated link cannot stall
 //!   its shard siblings.
@@ -655,15 +658,10 @@ impl Shard {
         let Some(Link::Recv(link)) = self.links.get_mut(&token) else {
             return;
         };
-        let was_empty = link.queue.is_empty();
-        let accepted = link.queue.push_batch(&mut link.batch);
-        if accepted > 0 {
+        if link.queue.push_batch(&mut link.batch) > 0 {
             self.env
                 .tel
                 .record_shard_ingress_occupancy(link.queue.len() as u64);
-            if was_empty {
-                let _ = self.env.events.send(ControlEvent::DataAvailable);
-            }
         }
         if link.batch.is_empty() {
             if !matches!(link.state, RecvState::Reading) {
@@ -707,13 +705,7 @@ impl Shard {
             // Stage another batch while memory allows.
             if link.out_bytes < OUT_HIGH_WATER {
                 batch.clear();
-                let (n, occupancy) = link.queue.pop_batch_observed(SEND_BATCH_MAX, &mut batch);
-                if n > 0 {
-                    if occupancy >= link.queue.capacity() {
-                        // Drained a full buffer: the engine may be
-                        // parked on it with blocked fan-outs.
-                        let _ = self.env.events.send(ControlEvent::SendSpace);
-                    }
+                if link.queue.pop_batch(SEND_BATCH_MAX, &mut batch) > 0 {
                     // Serialize first: the gather list must exist
                     // before the batch can wait in `out` behind a
                     // timer or a full socket. The delay gates the

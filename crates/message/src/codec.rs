@@ -4,7 +4,7 @@ use std::io::{self, IoSlice, IoSliceMut, Read, Write};
 
 use bytes::{Buf, Bytes, BytesMut};
 
-use crate::msg::{MAX_PAYLOAD, MAX_PREFIX_LEN};
+use crate::msg::MAX_PAYLOAD;
 use crate::{DecodeError, Header, Msg, HEADER_LEN};
 
 /// Declared payload size at or above which [`Decoder::read_from`] /
@@ -331,27 +331,51 @@ pub fn write_msg<W: Write>(mut w: W, msg: &Msg) -> io::Result<()> {
 /// Most gather segments offered to one vectored write.
 const MAX_WRITE_IOSLICES: usize = 64;
 
-/// A reusable staging area that turns a batch of messages into socket
-/// writes without copying payloads.
+/// Largest payload [`WireBatch::push`] copies behind its prefix instead
+/// of giving it a gather segment of its own: the size up to which
+/// copying the bytes costs less than a second `iovec` entry does (the
+/// kernel walks, pins and checks every entry; a `writev` takes at most
+/// [`MAX_WRITE_IOSLICES`] of them). The decode-side counterpart is
+/// [`DIRECT_MIN`]. DESIGN.md §6 has the measurement that set it.
+const COALESCE_MAX: usize = 1024;
+
+/// One gather segment of a [`WireBatch`].
+#[derive(Debug)]
+enum Segment {
+    /// `buf[start..end]`: prefixes and coalesced payloads, back to back.
+    Staged { start: usize, end: usize },
+    /// A payload above [`COALESCE_MAX`], held by reference count.
+    Shared(Bytes),
+}
+
+/// A reusable staging area that turns a batch of messages into as few
+/// socket writes as their sizes allow.
 ///
-/// Each pushed message contributes two gather segments — its encoded
-/// prefix (header plus optional trace extension) and a cheap clone of
-/// its payload [`Bytes`] — and [`WireBatch::write_to`] hands up to 64
-/// segments at a time to `writev`. Payload bytes flow from the
-/// message's buffer to the kernel directly; there is no per-batch
-/// encode buffer.
+/// Each pushed message's prefix (header plus optional trace extension)
+/// is encoded into one byte buffer shared by the whole batch. A payload
+/// of at most 1 KiB is copied right behind its prefix, so a run of
+/// small messages is one contiguous gather segment however many
+/// messages it holds — 128 messages of 64 bytes are one 11 KB `write`.
+/// A larger payload becomes a segment of its own, a cheap clone of the
+/// message's [`Bytes`]: those bytes flow from the message's buffer to
+/// the kernel directly and are never copied here. The mode is chosen
+/// per message from its length alone.
 ///
-/// A partial or failed write (e.g. `WouldBlock` on a non-blocking
-/// socket) leaves the internal cursor at the first unwritten byte, so
-/// calling `write_to` again resumes exactly where the kernel stopped.
+/// [`WireBatch::write_to`] hands up to 64 segments at a time to
+/// `writev`. A partial or failed write (e.g. `WouldBlock` on a
+/// non-blocking socket) leaves the internal cursor at the first
+/// unwritten byte, so calling `write_to` again resumes exactly where
+/// the kernel stopped.
 #[derive(Debug, Default)]
 pub struct WireBatch {
-    prefixes: Vec<([u8; MAX_PREFIX_LEN], usize)>,
-    payloads: Vec<Bytes>,
+    buf: Vec<u8>,
+    segs: Vec<Segment>,
+    msgs: usize,
     total: usize,
     /// Write cursor: next segment index and offset within it.
     seg: usize,
     off: usize,
+    writes: usize,
 }
 
 impl WireBatch {
@@ -363,23 +387,44 @@ impl WireBatch {
     /// Drops all staged messages and resets the write cursor, keeping
     /// allocations for reuse.
     pub fn clear(&mut self) {
-        self.prefixes.clear();
-        self.payloads.clear();
+        self.buf.clear();
+        self.segs.clear();
+        self.msgs = 0;
         self.total = 0;
         self.seg = 0;
         self.off = 0;
+        self.writes = 0;
     }
 
-    /// Stages one message (payload by reference count, not by copy).
+    /// Stages one message: a small payload by copy behind its prefix, a
+    /// large one by reference count.
     pub fn push(&mut self, msg: &Msg) {
-        self.prefixes.push(msg.encode_prefix());
-        self.payloads.push(msg.payload().clone());
+        let start = self.buf.len();
+        let (prefix, len) = msg.encode_prefix();
+        self.buf.extend_from_slice(&prefix[..len]);
+        let payload = msg.payload();
+        let coalesce = payload.len() <= COALESCE_MAX;
+        if coalesce {
+            self.buf.extend_from_slice(payload);
+        }
+        let staged_end = self.buf.len();
+        match self.segs.last_mut() {
+            Some(Segment::Staged { end, .. }) if *end == start => *end = staged_end,
+            _ => self.segs.push(Segment::Staged {
+                start,
+                end: staged_end,
+            }),
+        }
+        if !coalesce {
+            self.segs.push(Segment::Shared(payload.clone()));
+        }
+        self.msgs += 1;
         self.total += msg.wire_len();
     }
 
     /// Number of staged messages.
     pub fn msgs(&self) -> usize {
-        self.prefixes.len()
+        self.msgs
     }
 
     /// Total wire bytes of the staged messages.
@@ -389,34 +434,28 @@ impl WireBatch {
 
     /// `true` when no messages are staged.
     pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
+        self.msgs == 0
     }
 
-    /// Gather segments staged: a prefix and a payload per message.
-    fn seg_count(&self) -> usize {
-        self.prefixes.len() * 2
+    /// How many `write` / `writev` calls have moved bytes of this batch
+    /// since it was last cleared, across every [`WireBatch::write_to`]
+    /// that resumed it.
+    pub fn writes(&self) -> usize {
+        self.writes
     }
 
     fn seg_slice(&self, i: usize) -> &[u8] {
-        let m = i / 2;
-        if i.is_multiple_of(2) {
-            let (buf, len) = &self.prefixes[m];
-            &buf[..*len]
-        } else {
-            &self.payloads[m]
+        match &self.segs[i] {
+            Segment::Staged { start, end } => &self.buf[*start..*end],
+            Segment::Shared(payload) => payload,
         }
     }
 
-    /// `true` while staged bytes remain unwritten.
+    /// `true` while staged bytes remain unwritten. No segment is empty
+    /// (each starts with a prefix or is a payload above the coalescing
+    /// size), so the cursor is past the last one exactly then.
     pub fn has_remaining(&self) -> bool {
-        (self.seg..self.seg_count()).any(|i| {
-            let len = self.seg_slice(i).len();
-            if i == self.seg {
-                len > self.off
-            } else {
-                len > 0
-            }
-        })
+        self.seg < self.segs.len()
     }
 
     fn advance(&mut self, mut n: usize) {
@@ -433,7 +472,8 @@ impl WireBatch {
     }
 
     /// Writes every remaining staged byte, gathering up to 64 segments
-    /// per `write_vectored` call and retrying `Interrupted` internally.
+    /// per `write_vectored` call (a single remaining segment goes out
+    /// through plain `write`) and retrying `Interrupted` internally.
     ///
     /// # Errors
     ///
@@ -445,25 +485,28 @@ impl WireBatch {
         while self.has_remaining() {
             let mut slices = [IoSlice::new(&[]); MAX_WRITE_IOSLICES];
             let mut n_slices = 0;
-            let mut seg = self.seg;
             let mut off = self.off;
-            while seg < self.seg_count() && n_slices < MAX_WRITE_IOSLICES {
-                let s = self.seg_slice(seg);
-                if off < s.len() {
-                    slices[n_slices] = IoSlice::new(&s[off..]);
-                    n_slices += 1;
-                }
+            for seg in self.seg..self.segs.len().min(self.seg + MAX_WRITE_IOSLICES) {
+                slices[n_slices] = IoSlice::new(&self.seg_slice(seg)[off..]);
+                n_slices += 1;
                 off = 0;
-                seg += 1;
             }
-            match w.write_vectored(&slices[..n_slices]) {
+            let wrote = if n_slices == 1 {
+                w.write(&slices[0])
+            } else {
+                w.write_vectored(&slices[..n_slices])
+            };
+            match wrote {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::WriteZero,
                         "socket accepted zero bytes of a staged batch",
                     ))
                 }
-                Ok(n) => self.advance(n),
+                Ok(n) => {
+                    self.writes += 1;
+                    self.advance(n);
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -789,6 +832,113 @@ mod tests {
             }
         }
         assert_eq!(w.out, expect);
+    }
+
+    /// A writer that counts the calls it gets and takes everything.
+    #[derive(Default)]
+    struct Counting {
+        out: Vec<u8>,
+        writes: usize,
+        vectored: usize,
+    }
+
+    impl io::Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored += 1;
+            let before = self.out.len();
+            for b in bufs {
+                self.out.extend_from_slice(b);
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn small_messages_coalesce_into_one_segment_and_one_write() {
+        let mut batch = WireBatch::new();
+        let mut expect = Vec::new();
+        for i in 0..128 {
+            let m = sample(i, 64);
+            expect.extend_from_slice(&m.encode());
+            batch.push(&m);
+        }
+        assert_eq!(batch.segs.len(), 1, "128 x 64 B is one contiguous segment");
+        assert_eq!(batch.seg_slice(0).len(), 128 * (HEADER_LEN + 64));
+        let mut w = Counting::default();
+        batch.write_to(&mut w).unwrap();
+        assert_eq!((w.writes, w.vectored), (1, 0), "one plain write");
+        assert_eq!(batch.writes(), 1);
+        assert_eq!(w.out, expect);
+    }
+
+    #[test]
+    fn large_payloads_are_gathered_by_reference_never_copied() {
+        let big = sample(1, 16 * 1024);
+        let edge = sample(2, COALESCE_MAX);
+        let over = sample(3, COALESCE_MAX + 1);
+        let mut batch = WireBatch::new();
+        for m in [&sample(0, 10), &big, &edge, &over, &sample(4, 0)] {
+            batch.push(m);
+        }
+        // small+prefix(big) | big | prefix+edge+prefix(over) | over | small
+        assert_eq!(batch.segs.len(), 5);
+        assert_eq!(batch.seg_slice(1).as_ptr(), big.payload().as_ptr());
+        assert_eq!(batch.seg_slice(1).len(), 16 * 1024);
+        assert_eq!(batch.seg_slice(3).as_ptr(), over.payload().as_ptr());
+        assert_eq!(
+            batch.seg_slice(2).len(),
+            HEADER_LEN + COALESCE_MAX + HEADER_LEN,
+            "a payload of exactly the constant is still copied"
+        );
+        let mut w = Counting::default();
+        batch.write_to(&mut w).unwrap();
+        assert_eq!((w.writes, w.vectored), (0, 1), "five segments, one writev");
+    }
+
+    #[test]
+    fn more_segments_than_one_writev_takes_are_written_in_order() {
+        // 40 large messages: 80 segments, two vectored calls.
+        let msgs: Vec<Msg> = (0..40).map(|i| sample(i, 2048)).collect();
+        let mut batch = WireBatch::new();
+        let mut expect = Vec::new();
+        for m in &msgs {
+            batch.push(m);
+            expect.extend_from_slice(&m.encode());
+        }
+        assert_eq!(batch.segs.len(), 80);
+        let mut w = Counting::default();
+        batch.write_to(&mut w).unwrap();
+        assert_eq!(w.vectored, 2);
+        assert_eq!(batch.writes(), 2);
+        assert_eq!(w.out, expect);
+    }
+
+    #[test]
+    fn clear_keeps_capacity() {
+        let mut batch = WireBatch::new();
+        for i in 0..64 {
+            batch.push(&sample(i, 64));
+            batch.push(&sample(i, 4096));
+        }
+        let (buf_cap, seg_cap) = (batch.buf.capacity(), batch.segs.capacity());
+        let buf_ptr = batch.buf.as_ptr();
+        batch.clear();
+        assert!(batch.is_empty() && !batch.has_remaining());
+        assert_eq!(batch.writes(), 0);
+        for i in 0..64 {
+            batch.push(&sample(i, 64));
+            batch.push(&sample(i, 4096));
+        }
+        assert_eq!((batch.buf.capacity(), batch.segs.capacity()), (buf_cap, seg_cap));
+        assert_eq!(batch.buf.as_ptr(), buf_ptr, "the staging buffer is reused");
     }
 
     #[test]

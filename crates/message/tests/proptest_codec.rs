@@ -1,7 +1,8 @@
 //! Property-based tests for the message wire format.
 
 use ioverlay_message::{
-    Decoder, Header, Msg, MsgType, NodeId, TraceContext, HEADER_LEN, TRACE_EXT_WIRE_LEN,
+    Decoder, Header, Msg, MsgType, NodeId, TraceContext, WireBatch, HEADER_LEN,
+    TRACE_EXT_WIRE_LEN,
 };
 use proptest::prelude::*;
 
@@ -169,6 +170,89 @@ proptest! {
         }
         prop_assert_eq!(out, msgs);
         prop_assert_eq!(dec.pending(), 0);
+    }
+
+    /// Whatever mix of coalesced and gathered payloads a batch holds,
+    /// and however the socket chops its writes up (short writes that end
+    /// inside a segment or span several, `WouldBlock` between them), the
+    /// bytes that leave decode to exactly the pushed messages.
+    #[test]
+    fn wire_batch_survives_short_and_refused_writes(
+        entries in proptest::collection::vec((0usize..6, any::<bool>(), arb_trace()), 1..24),
+        script in proptest::collection::vec(1usize..40_000, 1..32),
+    ) {
+        const SIZES: [usize; 6] = [0, 1, 1023, 1024, 1025, 16 * 1024];
+        let msgs: Vec<Msg> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (size, traced, ctx))| {
+                let m = Msg::data(NodeId::loopback(7), 1, i as u32, vec![i as u8; SIZES[*size]]);
+                if *traced { m.with_trace(*ctx) } else { m }
+            })
+            .collect();
+        let mut batch = WireBatch::new();
+        for m in &msgs {
+            batch.push(m);
+        }
+        let mut w = Scripted { out: Vec::new(), script, calls: 0 };
+        while batch.has_remaining() {
+            match batch.write_to(&mut w) {
+                Ok(()) => {}
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::WouldBlock),
+            }
+        }
+        prop_assert_eq!(w.out.len(), batch.wire_bytes());
+        let mut dec = Decoder::new();
+        dec.feed(&w.out);
+        let mut out = Vec::new();
+        while let Some(m) = dec.next_msg().unwrap() {
+            out.push(m);
+        }
+        prop_assert_eq!(out, msgs);
+    }
+}
+
+/// A socket stand-in following a script: entry `n` accepts at most `n`
+/// bytes of what is offered (across gather segments, so a short write
+/// can stop anywhere), except that a multiple of four on an even call
+/// refuses it with `WouldBlock` (never two refusals in a row, so every
+/// script makes progress).
+struct Scripted {
+    out: Vec<u8>,
+    script: Vec<usize>,
+    calls: usize,
+}
+
+impl Scripted {
+    fn allowance(&mut self) -> std::io::Result<usize> {
+        let step = self.script[self.calls % self.script.len()];
+        self.calls += 1;
+        if step.is_multiple_of(4) && !self.calls.is_multiple_of(2) {
+            Err(std::io::ErrorKind::WouldBlock.into())
+        } else {
+            Ok(step)
+        }
+    }
+}
+
+impl std::io::Write for Scripted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = self.allowance()?.min(buf.len());
+        self.out.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        let mut left = self.allowance()?;
+        let before = self.out.len();
+        for b in bufs {
+            let n = left.min(b.len());
+            self.out.extend_from_slice(&b[..n]);
+            left -= n;
+        }
+        Ok(self.out.len() - before)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -5,10 +5,11 @@
 //! schedules (see `crates/compat/loom`); on failure the seed is printed
 //! for an exact replay.
 //!
-//! The two `#[should_panic]` models are deliberate-bug demonstrators:
-//! they keep proving, on every CI run, that the checker would catch the
-//! corresponding real bug (a lost SendSpace wakeup / a missed close
-//! wakeup) if it were ever reintroduced.
+//! The `#[should_panic]` models are deliberate-bug demonstrators: they
+//! keep proving, on every CI run, that the checker would catch the
+//! corresponding real bug (a lost SendSpace wakeup, a hook installed
+//! after the check, a DataAvailable decided before the push loop) if it
+//! were ever reintroduced.
 
 #![cfg(feature = "loom")]
 
@@ -179,19 +180,27 @@ fn close_always_wakes_blocked_consumer() {
     });
 }
 
-/// The SendSpace wakeup protocol from `crates/engine` (PR 1), reduced
-/// to its synchronization skeleton. The engine thread forwards N
-/// messages through a capacity-1 sender buffer with `try_push`; on
-/// `Full` it parks until a control event arrives (the real engine
-/// blocks in `crossbeam` `recv`). The sender thread drains the buffer
-/// and — this is the fix under test — emits a SendSpace event whenever
-/// it drained a buffer that was full. Because the control channel is a
+/// The SendSpace wakeup protocol from `crates/engine`, reduced to its
+/// synchronization skeleton. The engine thread forwards N messages
+/// through a capacity-1 sender buffer with `try_push`; on `Full` it
+/// parks until a control event arrives (the real engine blocks in
+/// `crossbeam` `recv`). The sender thread drains the buffer, and the
+/// buffer's *space hook* — this is the protocol under test, installed
+/// by `LinkEnv::wake_on_space` in the real engine — emits a SendSpace
+/// event whenever a pop found it full. Because the control channel is a
 /// queue, a signal sent before the engine parks is *not* lost.
 fn sendspace_protocol(signal_on_drain: bool) {
+    use loom::sync::Arc;
     const N: u32 = 3;
     let data = CircularQueue::with_capacity(1);
     // Stand-in for the unbounded crossbeam control channel.
     let events = CircularQueue::with_capacity(8);
+    if signal_on_drain {
+        let events = events.clone();
+        data.set_space_hook(Some(Arc::new(move || {
+            events.try_push(()).expect("control channel overflow");
+        })));
+    }
     let engine = {
         let data = data.clone();
         let events = events.clone();
@@ -215,7 +224,6 @@ fn sendspace_protocol(signal_on_drain: bool) {
     };
     let sender = {
         let data = data.clone();
-        let events = events.clone();
         thread::spawn(move || {
             let mut received = 0;
             let mut batch = Vec::new();
@@ -224,17 +232,79 @@ fn sendspace_protocol(signal_on_drain: bool) {
                 batch.push(data.pop().expect("engine still pushing"));
                 data.pop_batch(8, &mut batch);
                 received += batch.len() as u32;
-                // Mirrors run_sender: a drain that (together with what
-                // is still buffered) touched capacity frees space some
-                // parked engine may be waiting for.
-                if data.len() + batch.len() >= data.capacity() && signal_on_drain {
-                    events.try_push(()).expect("control channel overflow");
-                }
             }
         })
     };
     engine.join().unwrap();
     sender.join().unwrap();
+}
+
+/// Who decides that the engine needs a DataAvailable wakeup.
+#[derive(Clone, Copy)]
+enum DataSignal {
+    /// The receive buffer's data hook: the empty edge is observed under
+    /// the buffer lock by whichever push crosses it
+    /// (`LinkEnv::wake_on_data`).
+    QueueHook,
+    /// The receiver looks at `is_empty()` once, before its push loop,
+    /// and signals after it — the protocol the engine used to have.
+    CheckBeforeLoop,
+}
+
+/// The DataAvailable wakeup protocol of the blocking receiver ⇄ engine
+/// pair, reduced to its synchronization skeleton. The receiver thread
+/// has a batch of N messages for a capacity-1 receive buffer that
+/// already holds one, so it spends the batch parked in a blocking
+/// `push` on a full buffer. The engine drains the buffer; when it finds it empty it
+/// parks on the control channel until a DataAvailable event arrives
+/// (the real engine's `recv_timeout`, minus the 5 ms fallback that would
+/// hide the bug as a latency tail).
+///
+/// The interleaving that matters: receiver checks "was the buffer
+/// empty?" (no — one message is in it), blocks in `push`; engine pops
+/// that message, sees the buffer empty, parks; the receiver's blocked
+/// push lands in the *empty* buffer. With the check made before the
+/// loop nobody signals, and both threads wait forever.
+fn data_available_protocol(signal: DataSignal) {
+    use loom::sync::Arc;
+    const N: u32 = 3;
+    let data = CircularQueue::with_capacity(1);
+    // Stand-in for the unbounded crossbeam control channel.
+    let events = CircularQueue::with_capacity(8);
+    if let DataSignal::QueueHook = signal {
+        let events = events.clone();
+        data.set_data_hook(Some(Arc::new(move || {
+            events.try_push(()).expect("control channel overflow");
+        })));
+    }
+    // Left over from an earlier batch: the receiver's one look at the
+    // buffer finds it non-empty.
+    data.push(100).unwrap();
+    let receiver = {
+        let data = data.clone();
+        let events = events.clone();
+        thread::spawn(move || {
+            // One decoded batch: a push loop with a single look at the
+            // buffer in front of it.
+            let was_empty = data.is_empty();
+            for msg in 0..N {
+                data.push(msg).expect("engine still draining");
+            }
+            if let (DataSignal::CheckBeforeLoop, true) = (signal, was_empty) {
+                events.try_push(()).expect("control channel overflow");
+            }
+        })
+    };
+    let mut got = Vec::new();
+    while (got.len() as u32) < N + 1 {
+        if data.pop_batch(8, &mut got) == 0 {
+            // Parked engine: the buffer was empty when it looked, and
+            // only an event makes it look again.
+            events.pop().expect("control channel closed");
+        }
+    }
+    receiver.join().unwrap();
+    assert_eq!(got, vec![100, 0, 1, 2], "receive buffer lost or reordered");
 }
 
 /// The shard-mailbox wakeup protocol from the reactor backend
@@ -313,6 +383,25 @@ fn sendspace_wakeup_never_lost() {
     loom::model(|| sendspace_protocol(true));
 }
 
+/// With the wakeup taken from the buffer's own empty edge there is NO
+/// interleaving in which the parked engine misses a refill, however the
+/// receiver's blocking pushes and the engine's drains interleave.
+#[test]
+fn data_available_wakeup_never_lost() {
+    loom::model(|| data_available_protocol(DataSignal::QueueHook));
+}
+
+/// Deciding before the push loop whether the engine needs waking loses
+/// the wakeup whenever the engine drains the buffer while the receiver
+/// is parked in a blocking push: the model reports the stuck
+/// interleaving. This is what `run_receiver` did before the hook; the
+/// real engine survived it only through its 5 ms fallback.
+#[test]
+#[should_panic(expected = "DEADLOCK")]
+fn data_available_check_before_the_loop_deadlocks() {
+    loom::model(|| data_available_protocol(DataSignal::CheckBeforeLoop));
+}
+
 /// Install-hook-then-check ordering plus a sticky waker: no
 /// interleaving loses the shard wakeup — the reactor-backend analogue
 /// of [`sendspace_wakeup_never_lost`].
@@ -333,10 +422,10 @@ fn shard_mailbox_install_after_check_deadlocks() {
     loom::model(|| shard_mailbox_protocol(false));
 }
 
-/// Reverting the fix (sender drains a full buffer but never signals)
-/// deadlocks the engine ⇄ sender pair, and the model proves it by
+/// Without the signal (sender drains a full buffer, nobody says so) the
+/// engine ⇄ sender pair deadlocks, and the model proves it by
 /// reporting the stuck interleaving. This is the acceptance-criterion
-/// demonstrator: if `run_sender` ever stops emitting SendSpace, the
+/// demonstrator: if send buffers ever lose their space hook, the
 /// positive model above hangs exactly like this one.
 #[test]
 #[should_panic(expected = "DEADLOCK")]

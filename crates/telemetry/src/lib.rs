@@ -329,11 +329,27 @@ impl NodeTelemetry {
     /// `wire_bytes`-byte syscall.
     #[inline]
     pub fn record_send_batch(&self, msgs: u64, wire_bytes: u64) {
+        self.record_send_writes(msgs, wire_bytes, 1);
+    }
+
+    /// A batch of `msgs` messages totalling `wire_bytes` left its socket
+    /// in `writes` `write`/`writev` calls. `send_syscall_bytes` gets one
+    /// sample per call (the batch's bytes split evenly, the last sample
+    /// taking the remainder), so its count is the number of send
+    /// syscalls and its mean the bytes one of them moved.
+    #[inline]
+    pub fn record_send_writes(&self, msgs: u64, wire_bytes: u64, writes: u64) {
         if self.enabled {
             self.msgs_sent.add(msgs);
             self.bytes_sent.add(wire_bytes);
             self.send_batch_msgs.record(msgs);
-            self.send_syscall_bytes.record(wire_bytes);
+            let writes = writes.max(1);
+            let share = wire_bytes / writes;
+            for _ in 1..writes {
+                self.send_syscall_bytes.record(share);
+            }
+            self.send_syscall_bytes
+                .record(wire_bytes - share * (writes - 1));
         }
     }
 
@@ -744,6 +760,19 @@ mod tests {
         assert_eq!(snap.histogram("coding_decode_nanos").unwrap().sum, 8_200);
         assert_eq!(snap.events.len(), 6);
         assert_eq!(snap.events_dropped, 0);
+    }
+
+    #[test]
+    fn send_syscall_histogram_gets_one_sample_per_write() {
+        let tel = NodeTelemetry::new(true, 16);
+        tel.record_send_batch(32, 2_816);
+        tel.record_send_writes(128, 1_000_003, 4);
+        let snap = tel.snapshot();
+        let h = snap.histogram("send_syscall_bytes").unwrap();
+        assert_eq!(h.count, 5, "one sample per write call");
+        assert_eq!(h.sum, 2_816 + 1_000_003, "and no byte lost to rounding");
+        assert_eq!(snap.histogram("send_batch_msgs").unwrap().count, 2);
+        assert_eq!(snap.counter("msgs_sent"), Some(160));
     }
 
     #[test]

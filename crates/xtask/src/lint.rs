@@ -51,11 +51,20 @@
 //!   (`&classes::NAME`) as its first argument. The registry (compiled
 //!   into xtask, so the two can never skew) is the single review point
 //!   for adding a lock, and gives lockdep its stable class identities.
+//! * **R8 `wake-from-edge`** — scope-aware: in `crates/engine`, the
+//!   engine's two pure wake-up events, `ControlEvent::DataAvailable` and
+//!   `ControlEvent::SendSpace`, may be constructed only inside the
+//!   functions that install the link buffers' edge hooks
+//!   (`wake_on_data`, `wake_on_space` in `link.rs`). The queue observes
+//!   its empty and full edges under its own lock; a worker that decides
+//!   for itself when the engine needs waking re-creates the race in
+//!   which the buffer is drained between its look and its push, and the
+//!   wake-up is lost. Matching the events (`=>` arms, `if let`) is fine.
 //!
 //! All rules skip `#[cfg(test)]` items, `tests/` and `benches/`
 //! directories: test code may sleep, unwrap, and race however it likes.
-//! R6/R7 lean on the structural scope pass in [`crate::scan`]; the rest
-//! are lexical.
+//! R6/R7/R8 lean on the structural scope pass in [`crate::scan`]; the
+//! rest are lexical.
 
 use crate::scan::{mask_source, scope_tree, test_line_flags, Scope, ScopeKind, ScopeTree};
 use std::collections::BTreeSet;
@@ -162,6 +171,12 @@ const SHARD_BLOCKING_PATTERNS: &[&str] = &[
     ".recv_timeout(",
     ".wait(",
 ];
+
+/// Rule R8: the engine's pure wake-up events, and the only functions
+/// that may construct them — the ones hanging them on a link buffer's
+/// edge hooks.
+const WAKE_EVENTS: &[&str] = &["ControlEvent::DataAvailable", "ControlEvent::SendSpace"];
+const WAKE_HOOK_FNS: &[&str] = &["wake_on_data", "wake_on_space"];
 
 /// The waiver marker recognized by R3. Must appear in a comment on the
 /// violating line or one of the three lines above it, followed by a reason.
@@ -397,6 +412,30 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
             }
         }
 
+        // R8: wake-up events built outside the hook installers.
+        if rel.starts_with("crates/engine/") {
+            for event in WAKE_EVENTS {
+                if constructs(line, event)
+                    && !scopes
+                        .enclosing(lineno)
+                        .iter()
+                        .any(|s| s.kind == ScopeKind::Fn && WAKE_HOOK_FNS.contains(&s.name.as_str()))
+                {
+                    out.push(Violation {
+                        rule: "wake-from-edge",
+                        file: rel.clone(),
+                        line: lineno,
+                        msg: format!(
+                            "`{event}` constructed outside {WAKE_HOOK_FNS:?}; the engine's \
+                             wake-ups come from the link buffer's own empty/full edge \
+                             (observed under its lock), never from a worker's own look \
+                             at the buffer — install the hook instead"
+                        ),
+                    });
+                }
+            }
+        }
+
         // R6: blocking calls on a shard event-loop thread.
         if let Some((_, target)) = SHARD_LOOP_SCOPES.iter().find(|(f, _)| *f == rel.as_str()) {
             if in_shard_scope(&scopes, lineno, target) {
@@ -577,6 +616,28 @@ fn parse_class_ref(arg: &str) -> Option<String> {
     } else {
         Some(ident)
     }
+}
+
+/// Whether `line` builds the unit variant `path` rather than matching
+/// it: some whole-word occurrence is followed by neither `=>` / `|` (a
+/// match arm) nor a lone `=` (`if let`, `let … else`).
+fn constructs(line: &str, path: &str) -> bool {
+    let mut start = 0;
+    while let Some(pos) = line[start..].find(path) {
+        let end = start + pos + path.len();
+        start = end;
+        let rest = line[end..].trim_start();
+        if rest.starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_') {
+            continue; // a longer name
+        }
+        let pattern = rest.starts_with("=>")
+            || rest.starts_with('|')
+            || (rest.starts_with('=') && !rest.starts_with("=="));
+        if !pattern {
+            return true;
+        }
+    }
+    false
 }
 
 /// Whole-word match: `word` not flanked by identifier characters. Keeps
@@ -903,6 +964,48 @@ impl Shard {
         let v = lint_source("crates/engine/src/shard.rs", src);
         assert_eq!(v.len(), 1);
         assert!(v[0].msg.contains("unrecognized receiver"));
+    }
+
+    // The acceptance-criterion self-test for R8: a worker that sends a
+    // wake-up of its own — a deliberate second construction site — is
+    // rejected; the hook installers and the engine's match arms are not.
+    #[test]
+    fn deliberate_second_wake_site_is_rejected() {
+        let src = "\
+impl LinkEnv {
+    pub(crate) fn wake_on_data(&self, queue: &CircularQueue<Msg>) {
+        let events = self.events.clone();
+        queue.set_data_hook(Some(Arc::new(move || {
+            let _ = events.send(ControlEvent::DataAvailable);
+        })));
+    }
+}
+fn run_receiver(env: LinkEnv, queue: CircularQueue<Msg>) {
+    if queue.is_empty() {
+        let _ = env.events.send(ControlEvent::DataAvailable);
+    }
+}
+fn handle_event(event: ControlEvent) {
+    match event {
+        ControlEvent::DataAvailable => {}
+        ControlEvent::SendSpace | ControlEvent::Shutdown => {}
+    }
+    if let ControlEvent::SendSpace = event {}
+}
+";
+        let v = lint_source("crates/engine/src/peer.rs", src);
+        assert_eq!(v.len(), 1, "only the worker's own send: {v:?}");
+        assert_eq!(v[0].rule, "wake-from-edge");
+        assert_eq!(v[0].line, 11);
+        assert!(v[0].to_string().contains("crates/engine/src/peer.rs:11"));
+        // Other crates have no such events; test modules may build them.
+        assert!(lint_source("crates/observer/src/core.rs", src).is_empty());
+        let in_test = "#[cfg(test)]\nmod tests {\n    fn t(tx: Tx) { tx.send(ControlEvent::SendSpace); }\n}\n";
+        assert!(lint_source("crates/engine/src/shard.rs", in_test).is_empty());
+        let space = "fn service_send(&mut self) { let _ = self.env.events.send(ControlEvent::SendSpace); }\n";
+        let v = lint_source("crates/engine/src/shard.rs", space);
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "wake-from-edge");
     }
 
     // The acceptance-criterion self-test for R7: a shimmed lock
