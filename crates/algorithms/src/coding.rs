@@ -319,100 +319,65 @@ pub struct CodingRelay {
     /// Held frames, per generation — payload bytes stay zero-copy
     /// slices of the received messages until combine time.
     held: BTreeMap<u32, Vec<CodedFrame>>,
-    /// Reusable output packet for the general combine path:
-    /// `combine_into` writes here, so steady state emits combinations
-    /// without allocating.
-    scratch: CodedPacket,
     emitted: u64,
 }
 
 /// Combines a generation's held frames into one wire message payload:
 /// `[gen: u32][k: u8][coeffs][combined payload]`, written into `out`.
 ///
-/// All-systematic generations with equal payload lengths (the steady
-/// state of the Fig. 8 butterfly) take a pure-XOR fast path straight
-/// into the output buffer — no packet rehydration, no scratch copy.
-/// Mixed or ragged inputs fall back to [`CodedPacket::combine_into`]
-/// via rehydrated packets.
-fn combine_held(gen: u32, frames: &[CodedFrame], scratch: &mut CodedPacket, out: &mut Vec<u8>) -> bool {
-    let generation_size = frames
-        .iter()
-        .map(|f| match f {
-            CodedFrame::Systematic {
-                generation_size, ..
-            } => *generation_size,
-            CodedFrame::Coded { coeffs, .. } => coeffs.len(),
-        })
-        .max()
-        .unwrap_or(0);
-    if generation_size == 0 || generation_size > 255 {
-        return false;
-    }
+/// The combination is the plain sum (every scalar is `1`), so the
+/// coefficient row is the XOR of the frames' rows — a systematic frame
+/// contributes `e_index` — and the payload is one fused
+/// [`kernels::mulacc_rows`] call over the held `Bytes` slices, straight
+/// into `out`: nothing is rehydrated into packets and nothing but `out`
+/// is written. Returns `false` when the frames disagree on generation
+/// size or payload length.
+fn combine_held(gen: u32, frames: &[CodedFrame], out: &mut Vec<u8>) -> bool {
     out.clear();
-    let fast = frames.iter().all(|f| {
-        matches!(
-            f,
-            CodedFrame::Systematic { generation_size: g, payload, .. }
-                if *g == generation_size && payload.len() == frames[0].payload_len()
-        )
-    });
-    if fast {
-        let mut coeffs = [Gf256::ZERO; 255];
-        out.reserve(5 + generation_size + frames[0].payload_len());
-        out.extend_from_slice(&gen.to_be_bytes());
-        out.push(generation_size as u8);
-        let coeff_at = out.len();
-        out.resize(coeff_at + generation_size, 0);
-        let data_at = out.len();
-        for frame in frames {
-            let CodedFrame::Systematic { index, payload, .. } = frame else {
-                unreachable!("fast path is all-systematic");
-            };
-            coeffs[*index] += Gf256::ONE;
-            if out.len() == data_at {
-                out.extend_from_slice(payload);
-            } else {
-                kernels::xor_slice(payload, &mut out[data_at..]);
-            }
-        }
-        for (slot, c) in out[coeff_at..data_at].iter_mut().zip(&coeffs[..generation_size]) {
-            *slot = c.value();
-        }
-        return true;
-    }
-    // General path: rehydrate and combine through the packet machinery.
-    let packets: Vec<CodedPacket> = frames
-        .iter()
-        .map(|f| match f {
-            CodedFrame::Systematic {
-                generation_size,
-                index,
-                payload,
-            } => CodedPacket::source(*index, *generation_size, payload.to_vec()),
-            CodedFrame::Coded { coeffs, payload } => {
-                CodedPacket::from_parts(coeffs.clone(), payload.to_vec())
-            }
-        })
-        .collect();
-    let inputs: Vec<(Gf256, &CodedPacket)> = packets.iter().map(|p| (Gf256::ONE, p)).collect();
-    if CodedPacket::combine_into(&inputs, scratch).is_err() {
+    let Some(first) = frames.first() else {
+        return false;
+    };
+    let (generation_size, len) = (first.generation_size(), first.payload().len());
+    if !(1..=255).contains(&generation_size)
+        || frames
+            .iter()
+            .any(|f| f.generation_size() != generation_size || f.payload().len() != len)
+    {
         return false;
     }
-    let coeffs = scratch.coeffs();
     out.extend_from_slice(&gen.to_be_bytes());
-    out.push(coeffs.len() as u8);
-    out.extend(coeffs.iter().map(|c| c.value()));
-    out.extend_from_slice(scratch.data());
+    out.push(generation_size as u8);
+    out.resize(5 + generation_size + len, 0);
+    let (coeffs, data) = out[5..].split_at_mut(generation_size);
+    for frame in frames {
+        match frame {
+            CodedFrame::Systematic { index, .. } => coeffs[*index] ^= 1,
+            CodedFrame::Coded { coeffs: row, .. } => {
+                for (slot, c) in coeffs.iter_mut().zip(row) {
+                    *slot ^= c.value();
+                }
+            }
+        }
+    }
+    kernels::mulacc_rows(frames.iter().map(|f| (Gf256::ONE, f.payload())), data);
     true
 }
 
 impl CodedFrame {
-    /// The frame's payload length in bytes.
-    fn payload_len(&self) -> usize {
+    /// Number of source packets in the frame's generation.
+    fn generation_size(&self) -> usize {
         match self {
-            CodedFrame::Systematic { payload, .. } | CodedFrame::Coded { payload, .. } => {
-                payload.len()
-            }
+            CodedFrame::Systematic {
+                generation_size, ..
+            } => *generation_size,
+            CodedFrame::Coded { coeffs, .. } => coeffs.len(),
+        }
+    }
+
+    /// The frame's payload bytes.
+    fn payload(&self) -> &[u8] {
+        match self {
+            CodedFrame::Systematic { payload, .. } | CodedFrame::Coded { payload, .. } => payload,
         }
     }
 }
@@ -426,7 +391,6 @@ impl CodingRelay {
             code_inputs: None,
             stream_routes: None,
             held: BTreeMap::new(),
-            scratch: CodedPacket::default(),
             emitted: 0,
         }
     }
@@ -441,7 +405,6 @@ impl CodingRelay {
             code_inputs: None,
             stream_routes: Some(routes.into_iter().collect()),
             held: BTreeMap::new(),
-            scratch: CodedPacket::default(),
             emitted: 0,
         }
     }
@@ -456,7 +419,6 @@ impl CodingRelay {
             code_inputs: Some(inputs),
             stream_routes: None,
             held: BTreeMap::new(),
-            scratch: CodedPacket::default(),
             emitted: 0,
         }
     }
@@ -515,17 +477,15 @@ impl Algorithm for CodingRelay {
                     return;
                 };
                 // Held frames keep their payload bytes as zero-copy
-                // slices of the received messages; nothing rehydrates
-                // until combine time (and the all-systematic fast path
-                // never rehydrates at all).
+                // slices of the received messages, and the combine reads
+                // them in place.
                 let held = self.held.entry(gen).or_default();
                 held.push(frame);
                 if held.len() >= needed {
                     let frames = self.held.remove(&gen).expect("just inserted");
                     let started = Instant::now();
                     let mut wire = Vec::new();
-                    let combined =
-                        combine_held(gen, &frames, &mut self.scratch, &mut wire);
+                    let combined = combine_held(gen, &frames, &mut wire);
                     let encode_nanos = started.elapsed().as_nanos() as u64;
                     if combined {
                         self.emitted += 1;
@@ -738,14 +698,7 @@ impl Algorithm for DecodingSink {
         let Some((gen, frame)) = decode_coded_frame(&msg) else {
             return;
         };
-        let (gen_size, payload_len) = match &frame {
-            CodedFrame::Systematic {
-                generation_size,
-                payload,
-                ..
-            } => (*generation_size, payload.len()),
-            CodedFrame::Coded { coeffs, payload } => (coeffs.len(), payload.len()),
-        };
+        let (gen_size, payload_len) = (frame.generation_size(), frame.payload().len());
         if gen_size == 0 {
             return;
         }
@@ -926,6 +879,78 @@ mod tests {
             &[Gf256::ONE, Gf256::ONE],
             "a + b combination"
         );
+    }
+
+    /// Four held frames, systematic and coded mixed.
+    fn mixed_frames() -> Vec<CodedFrame> {
+        let pay = |mult: u8, salt: u8| -> Bytes {
+            (0..21u8)
+                .map(|i| i.wrapping_mul(mult) ^ salt)
+                .collect::<Vec<u8>>()
+                .into()
+        };
+        let row = |bytes: [u8; 4]| bytes.iter().map(|&b| Gf256::new(b)).collect();
+        vec![
+            CodedFrame::Systematic {
+                generation_size: 4,
+                index: 1,
+                payload: pay(37, 0x11),
+            },
+            CodedFrame::Coded {
+                coeffs: row([3, 0, 7, 9]),
+                payload: pay(101, 0xA7),
+            },
+            CodedFrame::Coded {
+                coeffs: row([0, 1, 7, 0xC4]),
+                payload: pay(13, 0x5C),
+            },
+            CodedFrame::Systematic {
+                generation_size: 4,
+                index: 3,
+                payload: pay(211, 0xE0),
+            },
+        ]
+    }
+
+    #[test]
+    fn mixed_held_frames_combine_to_the_recorded_bytes() {
+        // Recorded from the rehydrating `combine_into` path this
+        // function replaced (commit 9bf68c5), same four frames.
+        const GOLDEN: [u8; 30] = [
+            1, 2, 3, 4, 4, 3, 0, 0, 204, 10, 148, 54, 20, 114, 20, 54, 84, 250, 212, 54, 84, 114,
+            212, 182, 84, 234, 20, 182, 148, 114,
+        ];
+        let frames = mixed_frames();
+        let mut out = Vec::new();
+        assert!(combine_held(0x0102_0304, &frames, &mut out));
+        assert_eq!(out, GOLDEN);
+
+        // A second generation into the same buffer reuses it: the
+        // combine writes nothing but `out`.
+        let (ptr, capacity) = (out.as_ptr(), out.capacity());
+        assert!(combine_held(7, &frames[..2], &mut out));
+        assert_eq!((out.as_ptr(), out.capacity()), (ptr, capacity));
+        assert_eq!(&out[..9], &[0, 0, 0, 7, 4, 3, 1, 7, 9]);
+    }
+
+    #[test]
+    fn held_frames_of_different_shapes_do_not_combine() {
+        let mut out = vec![0xFF];
+        assert!(!combine_held(1, &[], &mut out));
+        let mut ragged = mixed_frames();
+        ragged.push(CodedFrame::Systematic {
+            generation_size: 4,
+            index: 0,
+            payload: Bytes::from(vec![1u8; 20]),
+        });
+        assert!(!combine_held(1, &ragged, &mut out));
+        let mut mixed_generations = mixed_frames();
+        mixed_generations.push(CodedFrame::Coded {
+            coeffs: vec![Gf256::ONE; 5],
+            payload: Bytes::from(vec![1u8; 21]),
+        });
+        assert!(!combine_held(1, &mixed_generations, &mut out));
+        assert!(out.is_empty(), "a refused combine leaves no partial frame");
     }
 
     #[test]

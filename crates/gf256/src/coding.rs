@@ -14,13 +14,13 @@
 //!   are appended to contiguous arenas (coefficients kept separate from
 //!   payload tiles), and only a coefficient-sized RREF mirror is updated
 //!   per push to detect innovation. When the generation completes, the
-//!   decoder folds every recovered systematic slot out of all pending
-//!   repair rows in blocked sweeps (one bulk [`mulacc_slice`] per
-//!   row × source pair over the arena), inverts the small `m × m`
-//!   missing-column system with a pooled [`Matrix`] workspace, and
-//!   reconstructs the `m` lost payloads with `m²` further bulk axpys.
-//!   Payload bytes are touched by the wide kernels only — never by
-//!   per-coefficient scalar loops.
+//!   decoder folds every recovered systematic slot out of each pending
+//!   repair row (one fused [`mulacc_rows`] call per repair row over the
+//!   arena), inverts the small `m × m` missing-column system with a
+//!   pooled [`Matrix`] workspace, and reconstructs each of the `m` lost
+//!   payloads with one further `mulacc_rows` call over the `m` adjusted
+//!   rows. Payload bytes are touched by the wide kernels only — never
+//!   by per-coefficient scalar loops.
 //!
 //! With `s` systematic arrivals and `m = generation - s` losses, the
 //! payload work is `m·s + m²` row axpys instead of the old incremental
@@ -32,9 +32,7 @@ use std::fmt;
 
 use rand::Rng;
 
-use crate::kernels::{
-    mul_slice, mul_slice_in_place_gf, mulacc_slice, mulacc_slice_gf,
-};
+use crate::kernels::{mul_slice, mul_slice_in_place_gf, mulacc_rows, mulacc_slice_gf};
 use crate::{Gf256, Matrix};
 
 /// Errors arising in coding operations.
@@ -163,8 +161,13 @@ impl CodedPacket {
         out.data.resize(len, 0);
         for (scalar, packet) in inputs {
             mulacc_slice_gf(*scalar, &packet.coeffs, &mut out.coeffs);
-            mulacc_slice(*scalar, &packet.data, &mut out.data);
         }
+        mulacc_rows(
+            inputs
+                .iter()
+                .map(|(scalar, packet)| (*scalar, packet.data())),
+            &mut out.data,
+        );
         Ok(())
     }
 }
@@ -297,10 +300,7 @@ impl Encoder {
             return Err(CodingError::ShapeMismatch);
         }
         out.coeffs.extend_from_slice(coeffs);
-        out.data.resize(self.sources[0].data.len(), 0);
-        for (c, source) in coeffs.iter().zip(&self.sources) {
-            mulacc_slice(*c, &source.data, &mut out.data);
-        }
+        self.combine_sources(out);
         Ok(())
     }
 
@@ -327,33 +327,35 @@ impl Encoder {
                 break;
             }
         }
+        self.combine_sources(out);
+    }
+
+    /// `out.data = Σ out.coeffs[i] · sourceᵢ`, one fused kernel call.
+    fn combine_sources(&self, out: &mut CodedPacket) {
         out.data.clear();
         out.data.resize(self.sources[0].data.len(), 0);
-        for (c, source) in out.coeffs.iter().zip(&self.sources) {
-            mulacc_slice(*c, &source.data, &mut out.data);
-        }
+        mulacc_rows(
+            out.coeffs
+                .iter()
+                .zip(&self.sources)
+                .map(|(c, source)| (*c, source.data())),
+            &mut out.data,
+        );
     }
 }
 
-/// One reduced row of the decoder's coefficient-only RREF mirror.
+/// One reduced row of the decoder's coefficient-only RREF mirror — the
+/// reduced form of one accepted *repair* packet.
 ///
 /// The leading (first non-zero) column index is stored instead of
 /// rescanned, so elimination against existing rows is a direct indexed
 /// load per row rather than a `position()` walk over the whole
 /// coefficient vector. These rows never carry payload bytes — they exist
-/// purely to answer "is this packet innovative?" in `O(rank·generation)`
-/// field ops.
+/// purely to answer "is this packet innovative?".
 #[derive(Debug, Clone)]
 struct CoeffRow {
     lead: usize,
     coeffs: Vec<Gf256>,
-    /// `true` iff the row is a unit vector `e_lead` — the shape every
-    /// systematic arrival reduces to. Eliminating an incoming row
-    /// against a unit row only touches the lead column, so the flag
-    /// turns that row-axpy into a single store. Unit rows are also
-    /// stable: back-substitution never modifies them (a new row's lead
-    /// is a fresh column, and `e_lead` is zero everywhere else).
-    unit: bool,
 }
 
 /// Systematic-aware progressive decoder for one generation.
@@ -374,13 +376,20 @@ struct CoeffRow {
 pub struct Decoder {
     generation: usize,
     payload_len: Option<usize>,
-    /// Coefficient-only RREF, sorted by `lead` ascending. Invariant:
-    /// each row's leading coefficient is `1` and every *other* row is
-    /// `0` at that lead column.
+    /// The coefficient-only RREF mirror of the accepted repair packets,
+    /// sorted by `lead` ascending; one row per repair row held
+    /// (`rref.len() == repair_rows`). The unit rows of systematic
+    /// arrivals are *not* stored here: `have` is that set. Invariants:
+    /// each row's leading coefficient is `1`, every *other* row is `0`
+    /// at that lead column, and every row is `0` on every column `i`
+    /// with `have[i]` — so the rows together with the `e_i` of `have`
+    /// are a reduced basis of everything accepted so far.
     rref: Vec<CoeffRow>,
     /// Recycled coefficient-row buffers (filled by [`Decoder::reset`]).
     row_pool: Vec<Vec<Gf256>>,
-    /// `have[i]` ⇔ output slot `i` holds its recovered payload.
+    /// `have[i]` ⇔ output slot `i` holds its recovered payload. Until
+    /// the solve this is exactly the set of unit rows `e_i` the decoder
+    /// has accepted, which is why none of them needs a stored row.
     have: Vec<bool>,
     /// Output slots, one per source packet; only `..generation` are live.
     slots: Vec<Vec<u8>>,
@@ -453,7 +462,7 @@ impl Decoder {
 
     /// Current rank (number of innovative packets held).
     pub fn rank(&self) -> usize {
-        self.rref.len()
+        self.systematic_hits + self.repair_rows
     }
 
     /// Whether enough innovative packets have arrived to decode.
@@ -482,8 +491,9 @@ impl Decoder {
     /// Inserts an uncoded source packet; returns `true` if innovative.
     ///
     /// This is the systematic passthrough: one payload copy into the
-    /// output slot plus a rank update on the coefficient mirror. No
-    /// payload elimination happens now or later for this packet.
+    /// output slot, and one column zeroed in each held repair row (none,
+    /// while no repair packet has arrived). No payload elimination
+    /// happens now or later for this packet.
     pub fn push_systematic(&mut self, index: usize, data: &[u8]) -> bool {
         if index >= self.generation || self.is_complete() || self.have[index] {
             return false;
@@ -493,7 +503,9 @@ impl Decoder {
                 return false;
             }
         }
-        self.accept_systematic(index, Gf256::ONE, data)
+        let accepted = self.accept_systematic(index, Gf256::ONE, data);
+        self.debug_check_mirror();
+        accepted
     }
 
     /// Inserts a packet; returns `true` if it was innovative.
@@ -530,11 +542,33 @@ impl Decoder {
             rank_before + usize::from(accepted),
             "rank must rise by exactly one per innovative packet"
         );
+        self.debug_check_mirror();
+        accepted
+    }
+
+    /// The mirror's invariants (see `rref`), checked in debug builds.
+    fn debug_check_mirror(&self) {
+        debug_assert_eq!(
+            self.rref.len(),
+            self.repair_rows,
+            "one stored row per repair"
+        );
         debug_assert!(
             self.rref.windows(2).all(|w| w[0].lead < w[1].lead),
             "stored leads must stay strictly increasing"
         );
-        accepted
+        debug_assert!(
+            self.is_complete()
+                || self.rref.iter().all(|row| {
+                    row.coeffs[row.lead] == Gf256::ONE
+                        && row
+                            .coeffs
+                            .iter()
+                            .zip(&self.have)
+                            .all(|(c, &h)| !h || c.is_zero())
+                }),
+            "stored rows must lead with 1 and be zero on the have columns"
+        );
     }
 
     /// Recovers the original payloads, in source order.
@@ -566,15 +600,37 @@ impl Decoder {
 
     /// Stores `scale⁻¹ · data` into slot `index` if the unit row `e_index`
     /// is innovative. `scale` is the packet's single non-zero coefficient
-    /// (`1` for a true systematic arrival).
+    /// (`1` for a true systematic arrival). The caller has checked that
+    /// the slot is empty.
     fn accept_systematic(&mut self, index: usize, scale: Gf256, data: &[u8]) -> bool {
-        // Rank bookkeeping first: e_index can be dependent on previously
-        // held repair rows even when the slot itself is empty.
-        self.scratch.clear();
-        self.scratch.resize(self.generation, Gf256::ZERO);
-        self.scratch[index] = Gf256::ONE;
-        if !self.absorb_scratch() {
-            return false;
+        match self.rref.binary_search_by_key(&index, |row| row.lead) {
+            // No stored row leads on this column, so reducing `e_index`
+            // against the mirror changes nothing: it is innovative
+            // because its slot is empty. Taking it into `have` means
+            // clearing its column from the stored rows.
+            Err(_) => {
+                for row in &mut self.rref {
+                    row.coeffs[index] = Gf256::ZERO;
+                }
+            }
+            // A stored row `e_index + tail` leads here. The repairs
+            // alone determine source `index` when the tail is empty;
+            // otherwise `e_index` reduces to that tail, which replaces
+            // the row it came from.
+            Ok(pos) => {
+                if !self.rref[pos].coeffs[index + 1..]
+                    .iter()
+                    .any(|c| !c.is_zero())
+                {
+                    return false;
+                }
+                let row = self.rref.remove(pos);
+                self.scratch.clone_from(&row.coeffs);
+                self.scratch[index] = Gf256::ZERO;
+                self.row_pool.push(row.coeffs);
+                let reduced = self.insert_scratch();
+                debug_assert!(reduced, "a non-empty tail is a new row");
+            }
         }
         self.payload_len = Some(data.len());
         let slot = &mut self.slots[index];
@@ -595,9 +651,22 @@ impl Decoder {
 
     /// Appends an innovative repair row to the raw arenas.
     fn push_repair(&mut self, coeffs: &[Gf256], data: &[u8]) -> bool {
+        // Reduce against the unit rows first: that is zeroing the
+        // `have` columns.
         self.scratch.clear();
-        self.scratch.extend_from_slice(coeffs);
-        if !self.absorb_scratch() {
+        self.scratch.extend(
+            coeffs
+                .iter()
+                .zip(&self.have)
+                .map(|(&c, &have)| if have { Gf256::ZERO } else { c }),
+        );
+        for row in &self.rref {
+            let factor = self.scratch[row.lead];
+            if !factor.is_zero() {
+                mulacc_slice_gf(factor, &row.coeffs, &mut self.scratch);
+            }
+        }
+        if !self.insert_scratch() {
             return false;
         }
         self.payload_len = Some(data.len());
@@ -610,48 +679,29 @@ impl Decoder {
         true
     }
 
-    /// Eliminates `self.scratch` against the coefficient RREF; inserts
-    /// the reduced row and returns `true` iff it is innovative.
-    fn absorb_scratch(&mut self) -> bool {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        for row in &self.rref {
-            let factor = scratch[row.lead];
-            if factor.is_zero() {
-                continue;
-            }
-            if row.unit {
-                // `e_lead` cancels exactly its own column.
-                scratch[row.lead] = Gf256::ZERO;
-            } else {
-                mulacc_slice_gf(factor, &row.coeffs, &mut scratch);
-            }
-        }
-        let Some(lead) = scratch.iter().position(|c| !c.is_zero()) else {
-            self.scratch = scratch;
+    /// Inserts `self.scratch` — already reduced against `have` and every
+    /// stored row — into the mirror: normalises it, clears its lead
+    /// column from the other rows, and keeps the rows sorted by lead.
+    /// Returns `false`, storing nothing, if the scratch row is zero.
+    fn insert_scratch(&mut self) -> bool {
+        let Some(lead) = self.scratch.iter().position(|c| !c.is_zero()) else {
             return false;
         };
-        let inv = scratch[lead].inv();
-        mul_slice_in_place_gf(inv, &mut scratch);
+        let inv = self.scratch[lead].inv();
+        mul_slice_in_place_gf(inv, &mut self.scratch);
         // Back-substitute the new row into the existing ones (coefficient
         // vectors only — payload rows are untouched until the solve).
-        for row in self.rref.iter_mut() {
+        for row in &mut self.rref {
             let factor = row.coeffs[lead];
             if !factor.is_zero() {
-                mulacc_slice_gf(factor, &scratch, &mut row.coeffs);
+                mulacc_slice_gf(factor, &self.scratch, &mut row.coeffs);
             }
         }
-        // Entries before `lead` are zero by construction; a unit row is
-        // one with nothing after it either. (Back-substitution can in
-        // principle cancel a stored row down to a unit — the flag stays
-        // conservatively `false` there, which is correct, just unflagged.)
-        let unit = scratch[lead + 1..].iter().all(|c| c.is_zero());
         let mut coeffs = self.row_pool.pop().unwrap_or_default();
         coeffs.clear();
-        coeffs.extend_from_slice(&scratch);
+        coeffs.extend_from_slice(&self.scratch);
         let pos = self.rref.partition_point(|r| r.lead < lead);
-        self.rref.insert(pos, CoeffRow { lead, coeffs, unit });
-        scratch.clear();
-        self.scratch = scratch;
+        self.rref.insert(pos, CoeffRow { lead, coeffs });
         true
     }
 
@@ -664,10 +714,13 @@ impl Decoder {
     /// unit rows reduces its determinant to `det(A)`). The solve is
     /// three blocked passes over the contiguous arenas:
     ///
-    /// 1. `Y′ = Y + Σ_{i∈P} c[·][i]·slotᵢ` — fold each recovered source
-    ///    out of all `m` repair payload rows per sweep,
+    /// 1. `Y′_j = Y_j + Σ_{i∈P} c[j][i]·slotᵢ` — fold the recovered
+    ///    sources out of each of the `m` repair payload rows,
     /// 2. invert the `m × m` block `A` in the pooled workspace,
-    /// 3. `slot_{M[k]} = Σ_j A⁻¹[k][j]·Y′_j` — `m²` row axpys.
+    /// 3. `slot_{M[k]} = Σ_j A⁻¹[k][j]·Y′_j` — `m` rows into each slot.
+    ///
+    /// `elimination_rows` counts the non-zero (coefficient, row)
+    /// products of passes 1 and 3.
     fn solve(&mut self) {
         debug_assert!(self.is_complete());
         let gen = self.generation;
@@ -681,23 +734,16 @@ impl Decoder {
             return; // pure systematic: passthrough already solved it
         }
         debug_assert_eq!(m, self.repair_rows, "repair rows must cover the losses");
-        // Pass 1: adjusted RHS. Repair row outer, recovered sources
-        // inner: the destination row stays cache-resident across the
-        // whole source sweep while the slots stream through once per
-        // row, each fold a bulk kernel row-axpy.
+        // Pass 1: adjusted RHS — per repair row, every recovered source
+        // folded out in one kernel call (the row's blocks stay in
+        // registers across the whole source sweep).
         for j in 0..m {
+            let coeffs = &self.repair_coeffs[j * gen..(j + 1) * gen];
+            let recovered = (0..gen)
+                .filter(|&i| self.have[i])
+                .map(|i| (coeffs[i], self.slots[i].as_slice()));
             let row = &mut self.repair_data[j * len..(j + 1) * len];
-            for i in 0..gen {
-                if !self.have[i] {
-                    continue;
-                }
-                let c = self.repair_coeffs[j * gen + i];
-                if c.is_zero() {
-                    continue;
-                }
-                mulacc_slice(c, &self.slots[i], row);
-                self.elimination_rows += 1;
-            }
+            self.elimination_rows += mulacc_rows(recovered, row) as u64;
         }
         // Pass 2: invert the m × m missing-column block in the pooled
         // workspace (no allocation after the first lossy generation).
@@ -715,19 +761,14 @@ impl Decoder {
         if !invertible {
             return;
         }
-        // Pass 3: reconstruct the missing payloads, m row axpys each.
+        // Pass 3: reconstruct each missing payload from the m adjusted
+        // rows, again one kernel call.
         for (k, &mi) in self.missing.iter().enumerate() {
             let slot = &mut self.slots[mi];
             slot.clear();
             slot.resize(len, 0);
-            for j in 0..m {
-                let c = inv[(k, j)];
-                if c.is_zero() {
-                    continue;
-                }
-                mulacc_slice(c, &self.repair_data[j * len..(j + 1) * len], slot);
-                self.elimination_rows += 1;
-            }
+            let adjusted = (0..m).map(|j| (inv[(k, j)], &self.repair_data[j * len..(j + 1) * len]));
+            self.elimination_rows += mulacc_rows(adjusted, slot) as u64;
             self.have[mi] = true;
         }
     }
@@ -900,6 +941,74 @@ mod tests {
         assert_eq!(dec.rank(), 2);
         // The third dimension still completes the generation.
         assert!(dec.push_systematic(2, enc.source_payload(2)));
+        assert_eq!(dec.decoded_payloads().unwrap(), sources);
+    }
+
+    #[test]
+    fn systematic_on_a_stored_rows_lead_replaces_that_row_by_its_tail() {
+        // One repair row x0 + 2·x1 + 3·x2 leads on column 0. Systematic 0
+        // is then still innovative (the repair alone does not determine
+        // x0) and must leave the mirror holding 2·x1 + 3·x2, normalised.
+        let sources = payloads(3, 8);
+        let enc = Encoder::new(sources.clone()).unwrap();
+        let repair = enc
+            .packet_with(&[Gf256::new(1), Gf256::new(2), Gf256::new(3)])
+            .unwrap();
+        let mut dec = Decoder::new(3);
+        assert!(dec.push(repair.clone()));
+        assert_eq!(dec.rref[0].lead, 0);
+        assert!(dec.push_systematic(0, enc.source_payload(0)));
+        assert_eq!(
+            (dec.rank(), dec.systematic_hits(), dec.repair_rows()),
+            (2, 1, 1)
+        );
+        assert_eq!(
+            dec.rref.len(),
+            1,
+            "the tail replaced the row, not joined it"
+        );
+        assert_eq!(dec.rref[0].lead, 1);
+        assert_eq!(
+            dec.rref[0].coeffs,
+            [Gf256::ZERO, Gf256::ONE, Gf256::new(3) / Gf256::new(2)]
+        );
+        // Everything the repair and source 0 span is now dependent.
+        assert!(!dec.push(repair));
+        assert!(!dec.push(
+            enc.packet_with(&[Gf256::new(9), Gf256::new(2), Gf256::new(3)])
+                .unwrap()
+        ));
+        assert!(dec.push_systematic(2, enc.source_payload(2)));
+        assert_eq!(dec.decoded_payloads().unwrap(), sources);
+    }
+
+    #[test]
+    fn reset_to_a_smaller_generation_reuses_rows_and_decodes() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut dec = Decoder::new(12);
+        let big = Encoder::new(payloads(12, 40)).unwrap();
+        while !dec.is_complete() {
+            dec.push(big.random_packet(&mut rng));
+        }
+        assert_eq!(dec.repair_rows(), 12);
+        dec.reset(5);
+        assert_eq!(
+            dec.row_pool.len(),
+            12,
+            "coefficient rows are pooled, not freed"
+        );
+        let sources = payloads(5, 24);
+        let small = Encoder::new(sources.clone()).unwrap();
+        assert!(dec.push_systematic(1, small.source_payload(1)));
+        assert!(dec.push_systematic(4, small.source_payload(4)));
+        while !dec.is_complete() {
+            dec.push(small.random_packet(&mut rng));
+        }
+        assert_eq!(
+            dec.row_pool.len(),
+            12 - 3,
+            "the three repair rows came from the pool"
+        );
         assert_eq!(dec.decoded_payloads().unwrap(), sources);
     }
 

@@ -237,7 +237,7 @@ impl Product for Gf256 {
 
 /// Raw byte-level product for the bulk kernels (`kernels` module): keeps
 /// the log/antilog tables private to this module while letting the
-/// kernels compute odd tail bytes and nibble tables.
+/// kernels compute odd tail bytes and short coefficient vectors.
 #[inline]
 pub(crate) fn gf_mul(a: u8, b: u8) -> u8 {
     if a == 0 || b == 0 {
@@ -246,11 +246,31 @@ pub(crate) fn gf_mul(a: u8, b: u8) -> u8 {
     TABLES.exp[TABLES.log[a as usize] as usize + TABLES.log[b as usize] as usize]
 }
 
+/// `a * b` by shift-and-reduce under [`POLY`] — the `const` form of
+/// [`gf_mul`], for the SIMD tier's tables that are built at compile time
+/// like [`TABLES`].
+#[cfg(feature = "simd")]
+pub(crate) const fn gf_mul_const(a: u8, b: u8) -> u8 {
+    let mut acc = 0u16;
+    let mut a = a as u16;
+    let mut b = b;
+    while b != 0 {
+        if b & 1 != 0 {
+            acc ^= a;
+        }
+        a <<= 1;
+        if a & 0x100 != 0 {
+            a ^= POLY;
+        }
+        b >>= 1;
+    }
+    acc as u8
+}
+
 /// Builds the full 256-byte product row for one coefficient:
 /// `row[x] = c * x`. One build costs 255 table pairs and turns every
 /// subsequent per-byte multiply into a single L1 lookup — the right
-/// shape for the kernels' random-access uses (in-place scaling, the
-/// short `Gf256`-typed coefficient vectors).
+/// shape for the kernels' long `Gf256`-typed coefficient vectors.
 pub(crate) fn product_row(c: u8) -> [u8; 256] {
     let mut row = [0u8; 256];
     if c == 0 {
@@ -339,6 +359,16 @@ mod tests {
                 let expect = (Gf256::new(c) * Gf256::new(x)).value();
                 assert_eq!(gf_mul(c, x), expect);
                 assert_eq!(row[x as usize], expect);
+            }
+        }
+    }
+
+    #[cfg(feature = "simd")]
+    #[test]
+    fn const_multiply_matches_the_tables() {
+        for a in 0..=255u8 {
+            for b in 0..=255u8 {
+                assert_eq!(gf_mul_const(a, b), gf_mul(a, b), "{a} * {b}");
             }
         }
     }

@@ -1,12 +1,16 @@
 //! Bulk GF(2⁸) kernels for the network-coding hot path.
 //!
 //! Every coded byte the overlay moves — `CodedPacket::combine`, encoder
-//! emission, and the decoder's Gaussian elimination — funnels through
-//! three primitive operations on byte slices:
+//! emission, the coding relay, and the decoder's blocked solve — is one
+//! call of the row-combination kernel
 //!
-//! * [`xor_slice`] — `dst[i] ^= src[i]` (GF addition),
-//! * [`mul_slice`] — `dst[i] = c * src[i]`,
-//! * [`mulacc_slice`] — `dst[i] ^= c * src[i]` (the GF "axpy").
+//! * [`mulacc_rows`] — `dst[i] ^= Σₖ cₖ * srcₖ[i]` over any number of
+//!   source rows, the destination loaded and stored once per register
+//!   block however many rows are folded into it,
+//!
+//! of which [`mulacc_slice`] (`dst[i] ^= c * src[i]`, the GF "axpy") is
+//! the one-row case. Beside it sit [`xor_slice`] (`dst[i] ^= src[i]`,
+//! GF addition) and [`mul_slice`] (`dst[i] = c * src[i]`).
 //!
 //! Three implementation tiers share one contract (bit-identical output):
 //!
@@ -23,16 +27,18 @@
 //!    host-native codegen (how CI's bench job and `BENCH_gf256.json`
 //!    build, `-C target-cpu=native`); ~3× on the portable SSE2
 //!    floor. Sub-block tails fall back to 8-byte SWAR words
-//!    ([`mul_word`]'s bit-plane form), then per-byte multiplies. (The
-//!    256-byte product row of [`crate::field::product_row`] remains the
-//!    right shape for random access: in-place scaling and the short
-//!    `Gf256`-typed coefficient vectors.)
-//! 3. **SIMD** (feature `simd`, module `simd`) — SSSE3/AVX2 `pshufb`
-//!    and NEON `vtbl` split-nibble tables, selected by runtime CPU
-//!    detection and falling back to the safe baseline when the host
-//!    lacks the features. The only `unsafe` in the workspace lives
-//!    there, waived by the `scoped-unsafe` xtask lint rule and proven
-//!    equivalent to tier 1 by `tests/proptest_kernels.rs`.
+//!    ([`mul_word`]'s bit-plane form), then per-byte multiplies. This
+//!    is the bulk fallback on a host without a SIMD tier; rows are
+//!    folded one at a time. (The 256-byte product row of
+//!    [`crate::field::product_row`] is not a bulk path: it serves the
+//!    long `Gf256`-typed coefficient vectors of [`mulacc_slice_gf`].)
+//! 3. **SIMD** (feature `simd`, module `simd`) — the fused row kernel,
+//!    on the widest of GFNI + AVX-512 (`vgf2p8affineqb`), AVX2 / SSSE3
+//!    `pshufb` and NEON `tbl` split-nibble tables that runtime CPU
+//!    detection finds, falling back to the safe baseline when the host
+//!    has none. The only `unsafe` in the workspace lives there, waived
+//!    by the `scoped-unsafe` xtask lint rule and proven equivalent to
+//!    tier 1, tier by tier, by `tests/proptest_kernels.rs`.
 //!
 //! **Why no loom models:** the kernels are pure sequential functions —
 //! no shared mutable state, no atomics, no locks. The only global is
@@ -163,14 +169,29 @@ pub mod scalar {
 #[cfg(feature = "simd")]
 use crate::simd;
 
+/// One SIMD tier of the row kernel that this host supports; see
+/// [`simd_tiers`].
+#[cfg(feature = "simd")]
+#[doc(hidden)]
+pub use crate::simd::Tier as SimdTier;
+
+/// Every SIMD tier the host supports, widest first — the first is what
+/// dispatch uses and [`active_backend`] names. For the equivalence
+/// tests, which must reach the narrower tiers too.
+#[cfg(feature = "simd")]
+#[doc(hidden)]
+pub fn simd_tiers() -> Vec<&'static SimdTier> {
+    simd::supported().collect()
+}
+
 /// Human-readable name of the fastest backend the dispatcher will pick
-/// on this host for large slices (`"avx2"`, `"ssse3"`, `"neon"`, or
-/// `"baseline"`). Reported in `BENCH_gf256.json`.
+/// on this host for large slices (`"gfni"`, `"avx2"`, `"ssse3"`,
+/// `"neon"`, or `"baseline"`). Reported in `BENCH_gf256.json`.
 pub fn active_backend() -> &'static str {
     #[cfg(feature = "simd")]
     {
-        if let Some(name) = simd::backend_name() {
-            return name;
+        if let Some(tier) = simd::active() {
+            return tier.name();
         }
     }
     "baseline"
@@ -201,7 +222,7 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
 /// `dst[i] = c * src[i]` — scales a slice into a destination buffer.
 ///
 /// Dispatches to the fastest available backend (SIMD when the `simd`
-/// feature is on and the CPU supports it, the safe product-row kernel
+/// feature is on and the CPU supports it, the safe bit-sliced kernel
 /// otherwise), with `c == 0` and `c == 1` short-circuits.
 ///
 /// # Panics
@@ -218,50 +239,84 @@ pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
         return;
     }
     #[cfg(feature = "simd")]
-    if simd::mul(c.value(), src, dst) {
+    if let Some(tier) = simd::active() {
+        tier.mul(c, src, dst);
         return;
     }
     mul_slice_baseline(c, src, dst);
 }
 
-/// `dst[i] ^= c * src[i]` — the GF(2⁸) axpy at the heart of combine,
-/// encode, and Gaussian elimination.
-///
-/// Dispatches like [`mul_slice`]; `c == 0` is a no-op and `c == 1`
-/// degenerates to [`xor_slice`].
+/// `dst[i] ^= c * src[i]` — the GF(2⁸) axpy: [`mulacc_rows`] with one
+/// row. `c == 0` is a no-op.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn mulacc_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "mulacc_slice length mismatch");
-    if c.is_zero() {
-        return;
+    if !c.is_zero() {
+        mulacc_batch(&[(c, src)], dst);
     }
-    if c == Gf256::ONE {
-        xor_slice(src, dst);
-        return;
-    }
-    #[cfg(feature = "simd")]
-    if simd::mulacc(c.value(), src, dst) {
-        return;
-    }
-    mulacc_slice_baseline(c, src, dst);
 }
 
-/// `data[i] = c * data[i]` — in-place scaling (decoder row
-/// normalization).
-pub fn mul_slice_in_place(c: Gf256, data: &mut [u8]) {
-    if c.is_zero() {
-        data.fill(0);
+/// Rows folded per pass over the destination. The batch lives on the
+/// stack, so a combination of any width allocates nothing; a generation
+/// wider than this costs one extra load/store of `dst` per further
+/// batch.
+const ROW_BATCH: usize = 32;
+
+/// `dst[i] ^= Σₖ cₖ * srcₖ[i]` — the one row-combination kernel behind
+/// combine, encode, the coding relay and the decoder's solve.
+///
+/// The destination is processed in register-sized blocks (512 B with
+/// AVX-512, 256 B with AVX2, 128 B with SSSE3/NEON): each block is
+/// loaded once, every source row is folded into it, and it is stored
+/// once, so `dst` traffic does not grow with the number of rows. Rows
+/// with a zero coefficient are skipped; a unit coefficient is an
+/// ordinary row. Rows may alias each other.
+///
+/// Returns the number of rows folded in, i.e. of non-zero coefficients.
+///
+/// # Panics
+///
+/// Panics — in safe code, before any row is touched by the SIMD tier —
+/// if a row's length differs from `dst.len()`.
+pub fn mulacc_rows<'a, I>(rows: I, dst: &mut [u8]) -> usize
+where
+    I: IntoIterator<Item = (Gf256, &'a [u8])>,
+{
+    let mut batch: [(Gf256, &[u8]); ROW_BATCH] = [(Gf256::ZERO, &[]); ROW_BATCH];
+    let mut held = 0;
+    let mut folded = 0;
+    for (c, src) in rows {
+        assert_eq!(src.len(), dst.len(), "mulacc_rows length mismatch");
+        if c.is_zero() {
+            continue;
+        }
+        batch[held] = (c, src);
+        held += 1;
+        if held == ROW_BATCH {
+            mulacc_batch(&batch, dst);
+            folded += held;
+            held = 0;
+        }
+    }
+    if held > 0 {
+        mulacc_batch(&batch[..held], dst);
+    }
+    folded + held
+}
+
+/// One batch of non-zero, length-checked rows into `dst`, on the widest
+/// tier the host has.
+fn mulacc_batch(rows: &[(Gf256, &[u8])], dst: &mut [u8]) {
+    #[cfg(feature = "simd")]
+    if let Some(tier) = simd::active() {
+        tier.mulacc_rows(rows, dst);
         return;
     }
-    if c == Gf256::ONE {
-        return;
-    }
-    let row = product_row(c.value());
-    for d in data.iter_mut() {
-        *d = row[*d as usize];
+    for &(c, src) in rows {
+        mulacc_slice_baseline(c, src, dst);
     }
 }
 
@@ -299,6 +354,10 @@ pub fn mul_slice_baseline(c: Gf256, src: &[u8], dst: &mut [u8]) {
 /// Panics if the slices have different lengths.
 pub fn mulacc_slice_baseline(c: Gf256, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "mulacc_slice length mismatch");
+    if c == Gf256::ONE {
+        xor_slice(src, dst);
+        return;
+    }
     let planes = bit_planes(c);
     let mut d = dst.chunks_exact_mut(BLOCK);
     let mut s = src.chunks_exact(BLOCK);
@@ -323,7 +382,8 @@ pub fn mulacc_slice_baseline(c: Gf256, src: &[u8], dst: &mut [u8]) {
 
 /// The SIMD tier of [`mulacc_slice`], bypassing dispatch: runs the
 /// widest backend the host supports and returns `true`, or returns
-/// `false` without touching `dst` when no SIMD backend is available.
+/// `false` without touching `dst` when no SIMD backend is available
+/// (a zero coefficient never touches `dst` either way).
 /// Benchmarks use this to isolate the SIMD tier; hot code should call
 /// [`mulacc_slice`].
 ///
@@ -333,28 +393,13 @@ pub fn mulacc_slice_baseline(c: Gf256, src: &[u8], dst: &mut [u8]) {
 #[cfg(feature = "simd")]
 pub fn mulacc_slice_simd(c: Gf256, src: &[u8], dst: &mut [u8]) -> bool {
     assert_eq!(src.len(), dst.len(), "mulacc_slice length mismatch");
-    if c.is_zero() {
-        return simd::backend_name().is_some();
+    let Some(tier) = simd::active() else {
+        return false;
+    };
+    if !c.is_zero() {
+        tier.mulacc_rows(&[(c, src)], dst);
     }
-    simd::mulacc(c.value(), src, dst)
-}
-
-/// Odd-tail helper shared with the SIMD tier: per-byte multiply-xor of
-/// the final sub-block bytes.
-#[cfg(feature = "simd")]
-pub(crate) fn mulacc_tail(c: u8, src: &[u8], dst: &mut [u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d ^= gf_mul(c, *s);
-    }
-}
-
-/// Odd-tail helper shared with the SIMD tier: per-byte multiply of the
-/// final sub-block bytes.
-#[cfg(feature = "simd")]
-pub(crate) fn mul_tail(c: u8, src: &[u8], dst: &mut [u8]) {
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = gf_mul(c, *s);
-    }
+    true
 }
 
 // ---------------------------------------------------------------------
@@ -454,12 +499,6 @@ mod tests {
                 let mut got = init.clone();
                 mul_slice_baseline(c, &src, &mut got);
                 assert_eq!(got, want_mul, "mul baseline c={c} len={len}");
-
-                let mut in_place = src.clone();
-                mul_slice_in_place(c, &mut in_place);
-                let mut want_ip = vec![0u8; len];
-                scalar::mul_slice(c, &src, &mut want_ip);
-                assert_eq!(in_place, want_ip, "in-place c={c} len={len}");
             }
             let mut want_xor = init.clone();
             scalar::xor_slice(&src, &mut want_xor);
@@ -509,7 +548,7 @@ mod tests {
     fn backend_name_is_stable() {
         let name = active_backend();
         assert!(
-            ["baseline", "ssse3", "avx2", "neon"].contains(&name),
+            ["baseline", "ssse3", "avx2", "gfni", "neon"].contains(&name),
             "unexpected backend {name}"
         );
     }

@@ -6,10 +6,10 @@
 //! survives — while its rank climbs by exactly one per accepted packet
 //! and never moves otherwise.
 
-use ioverlay_gf256::{Decoder, Encoder};
+use ioverlay_gf256::{CodedPacket, Decoder, Encoder, Gf256, Matrix};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn sources(gen: usize, len: usize, salt: u8) -> Vec<Vec<u8>> {
     (0..gen)
@@ -72,7 +72,105 @@ fn check_recovery(
     Ok(())
 }
 
+/// Rank of `rows` by dense Gaussian elimination — the oracle the
+/// decoder's bitmap-plus-mirror bookkeeping is compared against.
+fn dense_rank(rows: &[Vec<Gf256>]) -> usize {
+    if rows.is_empty() {
+        return 0;
+    }
+    let refs: Vec<&[Gf256]> = rows.iter().map(Vec::as_slice).collect();
+    Matrix::from_rows(&refs).rank()
+}
+
+/// Feeds one decoder a random interleaving of every packet shape it
+/// can meet — systematic, scaled unit, dense and sparse repair, exact
+/// duplicate, linear combination of what it already holds — until it
+/// completes, and checks each verdict and the rank against the dense
+/// oracle. Sparse repairs matter: two of them over the same two columns
+/// determine both sources, the case where an empty slot does *not*
+/// make its systematic packet innovative.
+fn check_against_dense_oracle(gen: usize, len: usize, seed: u64) -> Result<(), TestCaseError> {
+    let payloads = sources(gen, len, seed as u8);
+    let enc = Encoder::new(payloads.clone()).expect("well-formed generation");
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut dec = Decoder::new(gen);
+    let mut accepted: Vec<Vec<Gf256>> = Vec::new();
+    let mut seen: Vec<CodedPacket> = Vec::new();
+    let mut budget = 60 * gen + 200;
+    while !dec.is_complete() {
+        budget -= 1;
+        prop_assert!(budget > 0, "interleaving failed to complete the generation");
+        let index = rng.gen_range(0..gen);
+        let mut unit = vec![Gf256::ZERO; gen];
+        let packet = match rng.gen_range(0..6u32) {
+            0 => {
+                unit[index] = Gf256::ONE;
+                enc.systematic(index)
+            }
+            1 => {
+                unit[index] = Gf256::new(rng.gen_range(2..=255u8));
+                enc.packet_with(&unit).expect("generation-sized")
+            }
+            2 => enc.random_packet(&mut rng),
+            3 => {
+                for _ in 0..rng.gen_range(2..=3usize) {
+                    unit[rng.gen_range(0..gen)] = Gf256::new(rng.gen_range(1..=255u8));
+                }
+                enc.packet_with(&unit).expect("generation-sized")
+            }
+            4 if !seen.is_empty() => seen[rng.gen_range(0..seen.len())].clone(),
+            5 if !seen.is_empty() => {
+                let picks: Vec<(Gf256, &CodedPacket)> = (0..rng.gen_range(1..=3usize))
+                    .map(|_| (Gf256::new(rng.gen()), &seen[rng.gen_range(0..seen.len())]))
+                    .collect();
+                CodedPacket::combine(&picks).expect("same shape")
+            }
+            _ => continue,
+        };
+        let mut with = accepted.clone();
+        with.push(packet.coeffs().to_vec());
+        let innovative = dense_rank(&with) > accepted.len();
+        // A true systematic packet goes through the index entry point
+        // half the time, the coefficient-vector one otherwise.
+        let is_plain_unit = packet.coeffs() == enc.systematic(index).coeffs();
+        let verdict = if is_plain_unit && rng.gen() {
+            dec.push_systematic(index, packet.data())
+        } else {
+            dec.push(packet.clone())
+        };
+        prop_assert_eq!(
+            verdict,
+            innovative,
+            "packet {:?} against {} accepted rows",
+            packet.coeffs(),
+            accepted.len()
+        );
+        if innovative {
+            accepted = with;
+            if is_plain_unit {
+                prop_assert_eq!(dec.payload(index), Some(&payloads[index][..]));
+            }
+        }
+        prop_assert_eq!(dec.rank(), accepted.len());
+        prop_assert_eq!(dec.rank(), dec.systematic_hits() + dec.repair_rows());
+        seen.push(packet);
+    }
+    prop_assert_eq!(dec.decoded_payloads().expect("complete"), payloads);
+    Ok(())
+}
+
 proptest! {
+    /// The decoder accepts exactly the packets a dense rank computation
+    /// calls innovative, whatever the order and mix of shapes.
+    #[test]
+    fn verdicts_and_rank_match_a_dense_oracle(
+        gen in 1usize..=24,
+        len in 1usize..80,
+        seed in any::<u64>(),
+    ) {
+        check_against_dense_oracle(gen, len, seed)?;
+    }
+
     /// Any loss subset within the repair budget (each source lost or
     /// not, independently) recovers exactly.
     #[test]
