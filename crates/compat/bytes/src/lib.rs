@@ -70,6 +70,7 @@ impl Bytes {
     }
 
     /// Returns a slice of self for the provided range.
+    #[inline]
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && self.start + range.end <= self.end);
         Bytes {
@@ -90,10 +91,39 @@ impl Bytes {
         self.start += at;
         head
     }
+
+    /// Converts `self` back into a [`BytesMut`] without copying, when
+    /// it is the only handle to its allocation; otherwise hands `self`
+    /// back unchanged. The result holds the bytes `self` viewed.
+    ///
+    /// This is how a stream reader recycles a receive buffer: it keeps
+    /// one handle to the whole buffer, and once every message sliced
+    /// from it has been dropped the handle is unique and the memory —
+    /// already initialised — is writable again. Success implies every
+    /// other handle has been dropped, on whichever thread, before this
+    /// call (the reference count's release/acquire pair), so the reuse
+    /// never races a reader.
+    ///
+    /// Same contract as the real crate's `Bytes::try_into_mut`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `self` when another handle still shares the allocation.
+    pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
+        let Bytes { data, start, end } = self;
+        match Arc::try_unwrap(data) {
+            Ok(mut buf) => {
+                buf.truncate(end);
+                Ok(BytesMut { buf, start })
+            }
+            Err(data) => Err(Bytes { data, start, end }),
+        }
+    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.start..self.end]
     }
@@ -456,6 +486,22 @@ mod tests {
         assert_eq!(&m[..], b"cd");
         m.truncate(10); // longer than len: no-op
         assert_eq!(&m[..], b"cd");
+    }
+
+    #[test]
+    fn try_into_mut_reclaims_only_a_unique_handle() {
+        let whole = Bytes::from(vec![1u8, 2, 3, 4]);
+        let part = whole.slice(1..3);
+        let whole = whole.try_into_mut().expect_err("a slice still shares it");
+        drop(part);
+        let ptr = whole.as_ptr();
+        let mut back = whole.try_into_mut().expect("last handle");
+        assert_eq!((&back[..], back.as_ptr()), (&[1u8, 2, 3, 4][..], ptr));
+        back[0] = 9;
+        assert_eq!(&back[..], &[9, 2, 3, 4]);
+        // A unique view of part of the buffer yields just that part.
+        let view = Bytes::from(vec![5u8, 6, 7]).slice(1..2);
+        assert_eq!(&view.try_into_mut().expect("unique")[..], &[6]);
     }
 
     #[test]

@@ -27,7 +27,9 @@ use ioverlay_telemetry::{NodeTelemetry, SpanStage};
 use crate::peer::ControlEvent;
 use crate::sync::{Arc, Mutex};
 
-/// Most stream-buffer bytes one socket read may add to a decoder.
+/// Most bytes one socket read may add to a decoder; both backends read
+/// through [`Decoder::read_from`], which also grows a link's receive
+/// windows up to this size while reads keep filling them.
 pub(crate) const RECV_CHUNK: usize = 64 * 1024;
 
 /// Most messages drained from a send buffer into one batch: one bucket
@@ -70,10 +72,10 @@ pub(crate) struct Outbound {
 impl LinkEnv {
     /// Makes a receive buffer wake the engine: `DataAvailable` whenever
     /// a push finds it empty. The queue observes that edge under its own
-    /// lock, in whichever of `push` / `push_batch` crossed it — a worker
-    /// that looked at `is_empty()` before pushing would miss the case
-    /// where the engine drains the buffer while the worker is parked in
-    /// a blocking `push`. Installed by whoever creates the buffer,
+    /// lock, in whichever `push_all` / `push_batch` refill crossed it — a
+    /// worker that looked at `is_empty()` before pushing would miss the
+    /// case where the engine drains the buffer while the worker is
+    /// parked in a blocking `push_all`. Installed by whoever creates the buffer,
     /// before any worker can touch it.
     pub(crate) fn wake_on_data(&self, queue: &CircularQueue<Msg>) {
         let events = self.events.clone();

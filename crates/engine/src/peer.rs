@@ -148,10 +148,11 @@ impl ReceiverLink {
 }
 
 /// Runs a receiver thread: blocking reads from a persistent connection
-/// straight into the incremental decoder (large payloads `readv` into
-/// the buffer the decoded message will reference), pushed into the
-/// bounded receive buffer a batch at a time. Blocking on a full buffer
-/// is what stops the TCP window and propagates back pressure upstream.
+/// straight into the incremental decoder's receive window (each decoded
+/// payload is a slice of it), and each read's messages handed to the
+/// bounded receive buffer in one blocking batch push. Blocking on a full
+/// buffer is what stops the TCP window and propagates back pressure
+/// upstream.
 pub(crate) fn run_receiver(
     env: LinkEnv,
     peer: NodeId,
@@ -162,7 +163,7 @@ pub(crate) fn run_receiver(
 ) {
     let mut decoder = Decoder::new();
     let mut batch: Vec<Msg> = Vec::new();
-    'conn: loop {
+    loop {
         // A clean EOF and a socket error both mean the upstream is gone
         // (an EOF inside a message loses framing anyway), and so does a
         // malformed header.
@@ -184,15 +185,12 @@ pub(crate) fn run_receiver(
         meter
             .lock()
             .record_batch(inbound.bytes, batch.len() as u64, env.clock.now());
-        // Batch enqueue; what a full buffer leaves over goes in one
-        // blocking push at a time, so back pressure still stalls the
-        // read loop (and the TCP window). The buffer's data hook wakes
-        // the engine from whichever push finds it empty.
-        queue.push_batch(&mut batch);
-        for msg in batch.drain(..) {
-            if queue.push(msg).is_err() {
-                break 'conn; // engine closed the link
-            }
+        // A full buffer parks the thread until the engine frees space,
+        // which stalls the read loop (and the TCP window); the buffer's
+        // data hook wakes the engine from whichever refill finds it
+        // empty.
+        if queue.push_all(&mut batch).is_err() {
+            break; // engine closed the link
         }
     }
 }

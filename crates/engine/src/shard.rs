@@ -602,10 +602,10 @@ impl Shard {
         if !matches!(link.state, RecvState::Reading) {
             return; // pacing/backpressure owns this link right now
         }
-        // Drain the non-blocking socket straight into the decoder's
-        // buffers with no zeroed receive window (large payloads fill
-        // their own exact-size buffer in place).
-        let n = match link.decoder.read_available(&mut link.stream, RECV_CHUNK) {
+        // One read of the non-blocking socket straight into the
+        // decoder's receive window, the same call the blocking receiver
+        // makes; level-triggered readiness re-reports what it left.
+        let n = match link.decoder.read_from(&mut link.stream, RECV_CHUNK) {
             Ok(0) => {
                 self.fail_link(token);
                 return;

@@ -211,8 +211,8 @@ fn reactor_backpressure_with_tiny_buffers() {
 
 /// Both backends speak one wire image: a reactor node, a blocking node
 /// and another reactor node interoperate in one chain, large payloads
-/// included, so the blocking receiver's direct `readv` path and the
-/// shard's `read_available` meet the other backend's gather writes.
+/// included, so frames that straddle receive windows reach each
+/// backend from the other's gather writes.
 #[test]
 fn mixed_backend_chain_carries_large_frames() {
     let sink_alg = Relay::new();
@@ -222,7 +222,7 @@ fn mixed_backend_chain_carries_large_frames() {
     let relay_alg = Relay::to(sink.id());
     let relay = EngineNode::spawn(EngineConfig::default(), Box::new(relay_alg)).unwrap();
     const N: u64 = 150;
-    const PAYLOAD: usize = 8 * 1024; // above the direct-read threshold
+    const PAYLOAD: usize = 8 * 1024; // above the first receive window
     let source = EngineNode::spawn(
         reactor_cfg(),
         Box::new(BurstSource {

@@ -1,40 +1,37 @@
-//! Stream codec: incremental decoding, vectored I/O, and blocking helpers.
+//! Stream codec: incremental decoding into recycled receive windows,
+//! vectored writes, and blocking helpers.
 
-use std::io::{self, IoSlice, IoSliceMut, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+use std::mem;
 
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::msg::MAX_PAYLOAD;
 use crate::{DecodeError, Header, Msg, HEADER_LEN};
 
-/// Declared payload size at or above which [`Decoder::read_from`] /
-/// [`Decoder::read_available`] switch a frame to the direct path: the
-/// payload gets its own exact-size buffer filled by `readv` alongside
-/// the header buffer, and the finished frame freezes that buffer into
-/// the message — no buffer-to-buffer copy between the socket and the
-/// payload `Bytes`. Below this size frames stay on the shared-chunk
-/// path, where the payload is a zero-copy slice of the read buffer:
-/// entering direct mode there would cost more (per-frame buffer, carry
-/// copy) than it saves, so the threshold sits above typical coded-frame
-/// sizes.
-const DIRECT_MIN: usize = 4096;
-
-/// A large in-flight frame being read directly into its own payload
-/// buffer (header already parsed and consumed from the stream buffer).
-#[derive(Debug)]
-struct DirectPayload {
-    header: Header,
-    /// Exact-size payload-region buffer; `..filled` is valid.
-    buf: BytesMut,
-    filled: usize,
-}
+/// Read room of a decoder's first receive window. Every read that fills
+/// all the room it was offered doubles the room of the windows after
+/// it, up to the caller's `max_chunk`, so a link that only ever carries
+/// a trickle never holds a full-size window.
+const FIRST_WINDOW: usize = 4096;
 
 /// Incremental decoder for a byte stream carrying back-to-back messages.
 ///
-/// Feed arbitrary chunks with [`Decoder::feed`] and drain complete
-/// messages with [`Decoder::next_msg`]. Messages are extracted zero-copy:
-/// the payload of a yielded [`Msg`] references the decoder's internal
-/// buffer rather than a fresh allocation.
+/// Read into it with [`Decoder::read_from`] (or hand it bytes with
+/// [`Decoder::feed`]) and drain complete messages with
+/// [`Decoder::next_msg`]. Messages are extracted zero-copy: the payload
+/// of a yielded [`Msg`] is a slice of the receive window its bytes were
+/// read into.
+///
+/// A window is fully initialised memory, zero-filled once when it is
+/// allocated or grown. Reads extend it in place until a message is
+/// sliced out of it; from then on it is read-only, and the next read
+/// goes to another window behind a copy of the unparsed rest of the
+/// stream — less than one frame, and the only copy between the socket
+/// and the payload. A retired window is reused once the last message
+/// slicing it has been dropped, so in steady state no read zero-fills
+/// anything. Besides its current window a decoder keeps at most one
+/// retired window, the spare.
 ///
 /// # Example
 ///
@@ -55,21 +52,36 @@ struct DirectPayload {
 /// assert!(dec.next_msg()?.is_none());
 /// # Ok::<(), ioverlay_message::DecodeError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Decoder {
-    /// Frozen front of the stream. Complete frames are parsed straight
-    /// out of this buffer: each payload is a reference-counted slice of
-    /// it, so draining a read's worth of messages costs zero payload
-    /// copies — every payload in the chunk shares one allocation.
-    chunk: Bytes,
-    /// Mutable staging tail, strictly after `chunk` in stream order.
-    /// `feed` and `read_from` append here; bytes move into `chunk` via
-    /// [`Decoder::promote`] when parsing needs them.
-    tail: BytesMut,
-    /// Large frame currently reading straight into its payload buffer
-    /// (only entered through the reader helpers). While incomplete, it
-    /// is strictly ahead of `chunk` in stream order.
-    direct: Option<DirectPayload>,
+    /// The current window while no message slices it; reads extend it
+    /// in place. Empty while `frozen` holds the window.
+    window: BytesMut,
+    /// The current window once a message has been sliced out of it.
+    /// The handle covers the whole window, so its uniqueness says that
+    /// every message has let go of it.
+    frozen: Option<Bytes>,
+    /// Start of the unparsed bytes in the current window.
+    head: usize,
+    /// End of the received bytes in the current window.
+    filled: usize,
+    /// A retired window, reused once nothing else references it.
+    spare: Option<Bytes>,
+    /// Read room a new window is sized for.
+    room: usize,
+}
+
+impl Default for Decoder {
+    fn default() -> Self {
+        Self {
+            window: BytesMut::new(),
+            frozen: None,
+            head: 0,
+            filled: 0,
+            spare: None,
+            room: FIRST_WINDOW,
+        }
+    }
 }
 
 impl Decoder {
@@ -79,191 +91,138 @@ impl Decoder {
     }
 
     /// Appends a chunk of stream bytes to the decode buffer.
-    pub fn feed(&mut self, chunk: &[u8]) {
-        let mut chunk = chunk;
-        if let Some(d) = &mut self.direct {
-            let need = d.buf.len() - d.filled;
-            if need > 0 {
-                let take = need.min(chunk.len());
-                d.buf[d.filled..d.filled + take].copy_from_slice(&chunk[..take]);
-                d.filled += take;
-                chunk = &chunk[take..];
-            }
+    pub fn feed(&mut self, mut chunk: &[u8]) {
+        while !chunk.is_empty() {
+            let buf = self.writable(chunk.len());
+            let n = buf.len();
+            buf.copy_from_slice(&chunk[..n]);
+            self.filled += n;
+            chunk = &chunk[n..];
         }
-        self.tail.extend_from_slice(chunk);
     }
 
     /// Number of bytes buffered but not yet consumed by a complete message.
     pub fn pending(&self) -> usize {
-        self.chunk.len() + self.tail.len() + self.direct.as_ref().map_or(0, |d| d.filled)
+        self.filled - self.head
     }
 
-    /// Moves staged `tail` bytes into the parseable `chunk`. When the
-    /// chunk is fully consumed this is a zero-copy freeze; otherwise the
-    /// partial-frame leftover is merged with the tail in one copy.
-    /// Callers only promote once the bytes are actually needed to parse
-    /// a complete header or frame, so a byte is merge-copied O(1) times
-    /// rather than once per `next_msg` poll.
-    fn promote(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        if self.chunk.is_empty() {
-            self.chunk = std::mem::take(&mut self.tail).freeze();
-        } else {
-            let mut merged = Vec::with_capacity(self.chunk.len() + self.tail.len());
-            merged.extend_from_slice(&self.chunk);
-            merged.extend_from_slice(&self.tail);
-            self.tail.clear();
-            self.chunk = Bytes::from(merged);
-        }
+    /// Bytes of window memory the decoder holds: its current window and
+    /// its spare. What a memory bound is asserted against.
+    #[doc(hidden)]
+    pub fn window_bytes(&self) -> usize {
+        self.window.capacity()
+            + self.frozen.as_ref().map_or(0, Bytes::len)
+            + self.spare.as_ref().map_or(0, Bytes::len)
     }
 
-    /// Reads from `r` straight into the decoder, at most `max_chunk`
-    /// bytes into the stream buffer per call. When a buffered header
-    /// declares a large (≥ 512 byte) payload that has not fully
-    /// arrived, the payload gets its own exact-size buffer and the read
-    /// becomes one vectored `readv` over `[payload tail, stream
-    /// buffer]` — the payload lands in the buffer that the decoded
-    /// [`Msg`] will reference, skipping the buffer-to-buffer copy of
-    /// the `feed` path, while trailing bytes of the *next* frames
-    /// gather into the stream buffer in the same syscall.
+    /// Reads from `r` into the decoder: one `read` call of at most
+    /// `max_chunk` bytes. Drain with [`Decoder::next_msg`].
     ///
-    /// Returns the total bytes read; `Ok(0)` means end of stream.
-    /// Drain with [`Decoder::next_msg`] exactly as after `feed`.
+    /// The bytes land right behind the unparsed ones. A frame longer
+    /// than the window grows it geometrically, so memory follows the
+    /// bytes that have *arrived*, never the length a header declares,
+    /// and each byte is copied O(1) times.
+    ///
+    /// Returns the bytes read; `Ok(0)` means end of stream.
     ///
     /// # Errors
     ///
-    /// Propagates reader errors (the decoder's buffers stay consistent,
-    /// so retrying after `WouldBlock`/`Interrupted` is fine) and
-    /// surfaces a malformed buffered header as `InvalidData`.
+    /// Propagates the reader's error with the decoder intact, so
+    /// retrying after `WouldBlock`, `TimedOut` or `Interrupted` is fine.
+    /// A buffered header that declares more than the maximum payload, or
+    /// is otherwise malformed, surfaces as `InvalidData` before anything
+    /// is read behind it.
     pub fn read_from<R: Read>(&mut self, r: &mut R, max_chunk: usize) -> io::Result<usize> {
-        self.try_enter_direct()?;
-        let tail_start = self.tail.len();
-        self.tail.resize(tail_start + max_chunk.max(1), 0);
-        let read = match &mut self.direct {
-            Some(d) if d.filled < d.buf.len() => {
-                let mut iov = [
-                    IoSliceMut::new(&mut d.buf[d.filled..]),
-                    IoSliceMut::new(&mut self.tail[tail_start..]),
-                ];
-                r.read_vectored(&mut iov)
-            }
-            _ => r.read(&mut self.tail[tail_start..]),
-        };
-        match read {
-            Ok(n) => {
-                let into_direct = match &mut self.direct {
-                    Some(d) if d.filled < d.buf.len() => {
-                        let take = n.min(d.buf.len() - d.filled);
-                        d.filled += take;
-                        take
-                    }
-                    _ => 0,
-                };
-                self.tail.truncate(tail_start + (n - into_direct));
-                Ok(n)
-            }
-            Err(e) => {
-                self.tail.truncate(tail_start);
-                Err(e)
-            }
-        }
-    }
-
-    /// Reads every byte `r` has ready, up to `max_chunk` stream-buffer
-    /// bytes, without zero-initializing a receive window first. Where
-    /// [`Decoder::read_from`] memsets `max_chunk` bytes per call before
-    /// the `read` syscall, this gathers the unparsed leftover plus the
-    /// fresh socket bytes into one new chunk via `Read::take(..)
-    /// .read_to_end(..)`, which appends into spare `Vec` capacity
-    /// without zeroing it.
-    ///
-    /// **Requires a non-blocking reader**: the inner `read_to_end`
-    /// loops until the limit, end of stream, or an error — on a
-    /// blocking socket it would stall waiting for `max_chunk` bytes.
-    /// A `WouldBlock` after some bytes arrived is success (`Ok(n)`);
-    /// with nothing read it propagates, leaving the decoder untouched.
-    /// `Ok(0)` means end of stream, as with `read_from`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates reader errors and surfaces a malformed buffered
-    /// header as `InvalidData`; the decoder stays consistent either
-    /// way, so retrying after `WouldBlock` is fine.
-    pub fn read_available<R: Read>(&mut self, r: &mut R, max_chunk: usize) -> io::Result<usize> {
-        self.try_enter_direct()?;
-        if let Some(d) = &mut self.direct {
-            if d.filled < d.buf.len() {
-                // The payload buffer already exists at exact size: read
-                // straight into its unfilled region, no staging at all.
-                let n = r.read(&mut d.buf[d.filled..])?;
-                d.filled += n;
-                return Ok(n);
-            }
-        }
-        let carry = self.chunk.len() + self.tail.len();
-        // Spare room past the limit so read_to_end's probe for EOF
-        // never triggers a doubling realloc of the whole window.
-        let mut fresh = Vec::with_capacity(carry + max_chunk.max(1) + 1024);
-        fresh.extend_from_slice(&self.chunk);
-        fresh.extend_from_slice(&self.tail);
-        let result = (&mut *r).take(max_chunk.max(1) as u64).read_to_end(&mut fresh);
-        let n = fresh.len() - carry;
-        match result {
-            // Nothing arrived: drop `fresh`, decoder state untouched.
-            Err(e) if n == 0 => Err(e),
-            Ok(_) if n == 0 => Ok(0),
-            // Bytes before a WouldBlock/other error are still appended
-            // to the buffer (documented `read_to_end` behavior), so any
-            // partial read commits and reports success.
-            _ => {
-                self.tail.clear();
-                self.chunk = Bytes::from(fresh);
-                Ok(n)
-            }
-        }
-    }
-
-    /// If the buffered stream fronts a large frame whose payload region
-    /// has not fully arrived, consume its header and switch that frame
-    /// to the direct path. No-op for small or already-complete frames.
-    fn try_enter_direct(&mut self) -> io::Result<()> {
-        let avail = self.chunk.len() + self.tail.len();
-        if self.direct.is_some() || avail < HEADER_LEN {
-            return Ok(());
-        }
-        if self.chunk.len() < HEADER_LEN {
-            self.promote();
-        }
-        let header = Header::decode(&self.chunk)
+        self.front_header()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let buf = self.writable(max_chunk.max(1));
+        let offered = buf.len();
+        let n = r.read(buf)?;
+        self.filled += n;
+        if n == offered {
+            // More may be waiting: later windows offer more.
+            self.room = (2 * self.room).min(max_chunk.max(FIRST_WINDOW));
+        }
+        Ok(n)
+    }
+
+    /// The window memory the next read fills: up to `max` bytes right
+    /// behind the received ones, in a window no message slices.
+    fn writable(&mut self, max: usize) -> &mut [u8] {
+        if let Some(retired) = self.frozen.take() {
+            self.window = self.carry(retired);
+        }
+        if self.filled == self.window.len() {
+            // Full of bytes that have arrived: a frame longer than the
+            // window (or the first read) grows it.
+            let len = (2 * self.window.len()).max(self.room);
+            self.window.resize(len, 0);
+        }
+        let end = self.window.len().min(self.filled + max);
+        &mut self.window[self.filled..end]
+    }
+
+    /// Moves the unparsed bytes of the frozen window `retired` to the
+    /// front of a writable one: `retired` itself when no message slices
+    /// it any more, else the spare when that has come free, else a new
+    /// window. The spare is the older of the two retired windows, so it
+    /// is kept while busy — its messages leave the queues first.
+    fn carry(&mut self, retired: Bytes) -> BytesMut {
+        fn fit(buf: &mut BytesMut, len: usize) {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+        }
+        let (head, filled) = (self.head, self.filled);
+        let carry = filled - head;
+        let need = carry + self.room;
+        (self.head, self.filled) = (0, carry);
+        match retired.try_into_mut() {
+            Ok(mut buf) => {
+                buf.copy_within(head..filled, 0);
+                fit(&mut buf, need);
+                buf
+            }
+            Err(retired) => {
+                let (mut buf, keep_retired) = match self.spare.take().map(Bytes::try_into_mut) {
+                    Some(Ok(free)) => (free, true),
+                    Some(Err(busy)) => {
+                        self.spare = Some(busy);
+                        (BytesMut::new(), false)
+                    }
+                    None => (BytesMut::new(), true),
+                };
+                fit(&mut buf, need);
+                buf[..carry].copy_from_slice(&retired[head..filled]);
+                if keep_retired {
+                    self.spare = Some(retired);
+                }
+                buf
+            }
+        }
+    }
+
+    /// The header at the front of the unparsed bytes, once all of it has
+    /// arrived.
+    #[inline]
+    fn front_header(&self) -> Result<Option<Header>, DecodeError> {
+        let window: &[u8] = match &self.frozen {
+            Some(frozen) => frozen,
+            None => &self.window,
+        };
+        let unparsed = &window[self.head..self.filled];
+        if unparsed.len() < HEADER_LEN {
+            return Ok(None);
+        }
+        let header = Header::decode(unparsed)?;
         let declared = header.payload_len() as usize;
         if declared > MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                DecodeError::PayloadTooLarge {
-                    declared,
-                    max: MAX_PAYLOAD,
-                },
-            ));
+            return Err(DecodeError::PayloadTooLarge {
+                declared,
+                max: MAX_PAYLOAD,
+            });
         }
-        if declared < DIRECT_MIN || avail >= HEADER_LEN + declared {
-            return Ok(());
-        }
-        self.promote();
-        self.chunk.advance(HEADER_LEN);
-        let have = self.chunk.len();
-        let mut payload = BytesMut::with_capacity(declared);
-        payload.resize(declared, 0);
-        payload[..have].copy_from_slice(&self.chunk);
-        self.chunk = Bytes::new();
-        self.direct = Some(DirectPayload {
-            header,
-            buf: payload,
-            filled: have,
-        });
-        Ok(())
+        Ok(Some(header))
     }
 
     /// Attempts to extract the next complete message.
@@ -275,39 +234,21 @@ impl Decoder {
     /// Returns [`DecodeError::PayloadTooLarge`] or
     /// [`DecodeError::PortOutOfRange`] on malformed headers; the stream
     /// should be torn down in that case, since framing is lost.
+    #[inline]
     pub fn next_msg(&mut self) -> Result<Option<Msg>, DecodeError> {
-        if let Some(d) = &self.direct {
-            if d.filled < d.buf.len() {
-                // The direct frame is ahead of everything in the stream
-                // buffer; yielding buffered frames first would reorder.
-                return Ok(None);
-            }
-            let d = self.direct.take().expect("just observed Some");
-            return Msg::from_wire_parts(d.header, d.buf.freeze()).map(Some);
-        }
-        let avail = self.chunk.len() + self.tail.len();
-        if avail < HEADER_LEN {
+        let Some(header) = self.front_header()? else {
+            return Ok(None);
+        };
+        let start = self.head + HEADER_LEN;
+        let end = start + header.payload_len() as usize;
+        if end > self.filled {
             return Ok(None);
         }
-        if self.chunk.len() < HEADER_LEN {
-            self.promote();
-        }
-        let header = Header::decode(&self.chunk)?;
-        let declared = header.payload_len() as usize;
-        if declared > MAX_PAYLOAD {
-            return Err(DecodeError::PayloadTooLarge {
-                declared,
-                max: MAX_PAYLOAD,
-            });
-        }
-        if avail < HEADER_LEN + declared {
-            return Ok(None);
-        }
-        if self.chunk.len() < HEADER_LEN + declared {
-            self.promote();
-        }
-        self.chunk.advance(HEADER_LEN);
-        let region = self.chunk.split_to(declared);
+        let window = self
+            .frozen
+            .get_or_insert_with(|| mem::take(&mut self.window).freeze());
+        let region = window.slice(start..end);
+        self.head = end;
         Msg::from_wire_parts(header, region).map(Some)
     }
 }
@@ -335,8 +276,8 @@ const MAX_WRITE_IOSLICES: usize = 64;
 /// of giving it a gather segment of its own: the size up to which
 /// copying the bytes costs less than a second `iovec` entry does (the
 /// kernel walks, pins and checks every entry; a `writev` takes at most
-/// [`MAX_WRITE_IOSLICES`] of them). The decode-side counterpart is
-/// [`DIRECT_MIN`]. DESIGN.md §6 has the measurement that set it.
+/// [`MAX_WRITE_IOSLICES`] of them). DESIGN.md §6 has the measurement
+/// that set it.
 const COALESCE_MAX: usize = 1024;
 
 /// One gather segment of a [`WireBatch`].
@@ -634,9 +575,8 @@ mod tests {
         assert_eq!(read_msg(&mut cursor).unwrap(), None);
     }
 
-    /// A reader that hands out at most `max` bytes per call (and only
-    /// fills the first buffer of a vectored read), forcing the decoder
-    /// through partial direct-payload fills.
+    /// A reader that hands out at most `max` bytes per call, so frames
+    /// arrive in pieces and straddle windows.
     struct Dribble<R> {
         inner: R,
         max: usize,
@@ -657,8 +597,9 @@ mod tests {
 
     #[test]
     fn read_from_decodes_a_mixed_stream() {
-        // Small frames ride the buffered path, large ones the direct
-        // path, interleaved so ordering across the mode switch matters.
+        // Frames shorter and longer than a window, interleaved, so some
+        // are carried into a new window and some grow the one they
+        // arrived in.
         let msgs: Vec<Msg> = vec![
             sample(0, 16),
             sample(1, 4 * 1024),
@@ -718,8 +659,8 @@ mod tests {
 
     #[test]
     fn feed_completes_a_frame_entered_directly() {
-        // read_from may leave a direct frame mid-fill; feed() must
-        // finish it (mixed call styles stay coherent).
+        // read_from may leave a frame half-arrived; feed() must finish
+        // it (mixed call styles stay coherent).
         let msg = sample(9, 5000);
         let wire = msg.encode();
         let mut r = Dribble {
@@ -734,25 +675,114 @@ mod tests {
         assert_eq!(dec.pending(), 0);
     }
 
+    /// The wire image of a header declaring a `declared`-byte payload.
+    fn header_declaring(declared: u32) -> Vec<u8> {
+        let mut wire = sample(0, 0).encode();
+        wire[20..24].copy_from_slice(&declared.to_be_bytes());
+        wire
+    }
+
     #[test]
     fn read_from_rejects_poisoned_length() {
-        let mut wire = sample(0, 4).encode();
-        wire[20..24].copy_from_slice(&u32::MAX.to_be_bytes());
-        let mut dec = Decoder::new();
-        let mut r = std::io::Cursor::new(&wire);
-        // First call buffers the header; a following call trips on it.
-        let mut saw_err = false;
-        for _ in 0..4 {
-            match dec.read_from(&mut r, 16) {
-                Ok(_) => {}
-                Err(e) => {
-                    assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-                    saw_err = true;
-                    break;
-                }
-            }
+        for declared in [MAX_PAYLOAD as u32 + 1, u32::MAX] {
+            let mut wire = header_declaring(declared);
+            wire.extend_from_slice(&[0u8; 100]);
+            let mut dec = Decoder::new();
+            let mut r = std::io::Cursor::new(&wire);
+            // The first call buffers the header; next_msg and any
+            // further read trip on it, and nothing was reserved for it.
+            dec.read_from(&mut r, 30).unwrap();
+            assert!(matches!(
+                dec.next_msg(),
+                Err(DecodeError::PayloadTooLarge { .. })
+            ));
+            let err = dec.read_from(&mut r, 30).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(dec.window_bytes() <= FIRST_WINDOW, "{declared}");
         }
-        assert!(saw_err || dec.next_msg().is_err());
+    }
+
+    #[test]
+    fn a_header_alone_does_not_make_the_decoder_hold_the_declared_length() {
+        const MAX_CHUNK: usize = 64 * 1024;
+        let mut wire = header_declaring((MAX_PAYLOAD - 1) as u32);
+        wire.extend_from_slice(&[7u8; 10]);
+        let mut r = std::io::Cursor::new(&wire);
+        let mut dec = Decoder::new();
+        while dec.read_from(&mut r, MAX_CHUNK).unwrap() > 0 {}
+        assert!(dec.next_msg().unwrap().is_none(), "the frame is incomplete");
+        assert_eq!(dec.pending(), HEADER_LEN + 10);
+        assert!(
+            dec.window_bytes() <= MAX_CHUNK + 4096,
+            "34 bytes of a 16 MiB frame hold {} bytes",
+            dec.window_bytes()
+        );
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a 16 MiB frame in 32 Ki reads is too slow under miri")]
+    fn a_long_frame_in_small_reads_decodes_in_linear_time() {
+        let msg = sample(1, MAX_PAYLOAD - 1);
+        let wire = msg.encode();
+        let mut r = Dribble {
+            inner: std::io::Cursor::new(&wire),
+            max: 512,
+        };
+        let mut dec = Decoder::new();
+        let mut out = Vec::new();
+        let started = std::time::Instant::now();
+        while dec.read_from(&mut r, 64 * 1024).unwrap() > 0 {
+            drain(&mut dec, &mut out);
+        }
+        let took = started.elapsed();
+        assert!(out == [msg], "the frame decodes whole");
+        // Copying the partial frame again on every read would move
+        // about 17 GB here.
+        assert!(took < std::time::Duration::from_secs(10), "took {took:?}");
+        assert!(
+            dec.window_bytes() <= 2 * 2 * wire.len(),
+            "{}",
+            dec.window_bytes()
+        );
+    }
+
+    #[test]
+    fn a_window_is_reused_once_its_messages_are_dropped() {
+        let round: Vec<u8> = (0..8).flat_map(|i| sample(i, 100).encode()).collect();
+        let mut r = std::io::Cursor::new(round.repeat(4));
+        let mut dec = Decoder::new();
+        let mut read_round = |dec: &mut Decoder| {
+            assert_eq!(dec.read_from(&mut r, round.len()).unwrap(), round.len());
+            let mut out = Vec::new();
+            drain(dec, &mut out);
+            assert_eq!(out.len(), 8);
+            out
+        };
+        let first = read_round(&mut dec);
+        let base = first[0].payload().as_ptr();
+        drop(first);
+        let held = read_round(&mut dec);
+        assert_eq!(
+            held[0].payload().as_ptr(),
+            base,
+            "the free window is reused"
+        );
+        let bytes = dec.window_bytes();
+        // A window still sliced by live messages is never written: the
+        // next read goes to a new one, and the held payloads stay put.
+        let next = read_round(&mut dec);
+        assert_ne!(next[0].payload().as_ptr(), base);
+        assert!(held.iter().all(|m| m.payload()[..] == [m.seq() as u8; 100]));
+        assert_eq!(
+            dec.window_bytes(),
+            2 * bytes,
+            "current window plus the spare"
+        );
+        let next_base = next[0].payload().as_ptr();
+        drop((held, next));
+        let last = read_round(&mut dec);
+        assert_eq!(last[0].payload().as_ptr(), next_base);
+        assert_eq!(dec.window_bytes(), 2 * bytes);
     }
 
     #[test]

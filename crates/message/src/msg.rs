@@ -274,6 +274,7 @@ impl Msg {
     ///
     /// Returns [`DecodeError::InvalidPayload`] when the extension flag
     /// is set but the extension region is malformed.
+    #[inline]
     pub(crate) fn from_wire_parts(header: Header, region: Bytes) -> Result<Self, DecodeError> {
         let flagged = match header.ty() {
             MsgType::Custom(word) => trace::ext_type_word(word),

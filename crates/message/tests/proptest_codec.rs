@@ -212,6 +212,136 @@ proptest! {
     }
 }
 
+/// Frame payload sizes for the receive-path property: around the
+/// coalescing size, around the first receive window, and longer than a
+/// full-size window. Miri runs the short ones only.
+#[cfg(not(miri))]
+const FRAME_SIZES: &[usize] = &[
+    0,
+    1,
+    63,
+    64,
+    1023,
+    1024,
+    4095,
+    4096,
+    16 << 10,
+    65 << 10,
+    200 << 10,
+];
+#[cfg(miri)]
+const FRAME_SIZES: &[usize] = &[0, 1, 63, 64, 1023, 1024, 4095, 4096];
+
+/// Longest single read the chopping reader hands out.
+#[cfg(not(miri))]
+const MAX_SPLIT: usize = 128 << 10;
+#[cfg(miri)]
+const MAX_SPLIT: usize = 8 << 10;
+
+#[cfg(not(miri))]
+const RECEIVE_CASES: u32 = 48;
+#[cfg(miri)]
+const RECEIVE_CASES: u32 = 2;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(RECEIVE_CASES))]
+
+    /// The receive path as a relay runs it: `read_from` a socket that
+    /// splits the stream anywhere and refuses reads with `WouldBlock` or
+    /// `TimedOut` between them, draining after every read. The decoded
+    /// sequence is the encoded one, and the messages kept alive across
+    /// later reads — while the decoder recycles windows under them —
+    /// still hold their own bytes at the end.
+    #[test]
+    fn read_from_recycles_windows_without_touching_live_messages(
+        frames in proptest::collection::vec(
+            (0..FRAME_SIZES.len(), any::<bool>(), 0u8..4, arb_trace()),
+            1..24,
+        ),
+        script in proptest::collection::vec(
+            (prop_oneof![1usize..64, 1usize..MAX_SPLIT], 0u8..4),
+            1..64,
+        ),
+        max_chunk in prop_oneof![Just(1024usize), Just(64 * 1024)],
+    ) {
+        let msgs: Vec<Msg> = frames
+            .iter()
+            .enumerate()
+            .map(|(i, &(size, traced, _, ctx))| {
+                let payload: Vec<u8> = (0..FRAME_SIZES[size])
+                    .map(|j| (i * 131 + j) as u8)
+                    .collect();
+                let m = Msg::data(NodeId::loopback(7), 1, i as u32, payload);
+                if traced { m.with_trace(ctx) } else { m }
+            })
+            .collect();
+        let mut wire = Vec::new();
+        for m in &msgs {
+            wire.extend_from_slice(&m.encode());
+        }
+        let mut r = Chopped { wire: &wire, pos: 0, script, calls: 0 };
+        let mut dec = Decoder::new();
+        let (mut next, mut kept) = (0, Vec::new());
+        loop {
+            match dec.read_from(&mut r, max_chunk) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(e) => {
+                    prop_assert!(
+                        matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+                        "unexpected error {e}"
+                    );
+                    continue;
+                }
+            }
+            while let Some(m) = dec.next_msg().unwrap() {
+                prop_assert!(next < msgs.len(), "more messages than were sent");
+                prop_assert_eq!(&m, &msgs[next]);
+                // One in four stays alive to the end; the rest drop now
+                // and free their windows for reuse.
+                if frames[next].2 == 0 {
+                    kept.push((next, m));
+                }
+                next += 1;
+            }
+        }
+        prop_assert_eq!(next, msgs.len());
+        prop_assert_eq!(dec.pending(), 0);
+        for (i, m) in &kept {
+            prop_assert_eq!(m, &msgs[*i], "message {} changed after it was decoded", i);
+        }
+    }
+}
+
+/// A socket stand-in that splits `wire` by a script of `(size, kind)`
+/// entries: each read hands out at most `size` bytes, and on every
+/// other call a `kind` of 0 or 1 refuses the read with `WouldBlock` or
+/// `TimedOut` instead (never twice in a row, so the stream progresses).
+struct Chopped<'a> {
+    wire: &'a [u8],
+    pos: usize,
+    script: Vec<(usize, u8)>,
+    calls: usize,
+}
+
+impl std::io::Read for Chopped<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let (size, kind) = self.script[self.calls % self.script.len()];
+        self.calls += 1;
+        if self.calls.is_multiple_of(2) {
+            match kind {
+                0 => return Err(std::io::ErrorKind::WouldBlock.into()),
+                1 => return Err(std::io::ErrorKind::TimedOut.into()),
+                _ => {}
+            }
+        }
+        let n = size.min(buf.len()).min(self.wire.len() - self.pos);
+        buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
 /// A socket stand-in following a script: entry `n` accepts at most `n`
 /// bytes of what is offered (across gather segments, so a short write
 /// can stop anywhere), except that a multiple of four on an even call

@@ -283,23 +283,63 @@ impl<T> CircularQueue<T> {
     /// Returns [`PushError`] carrying the item if the queue is closed
     /// (either before the call or while blocked).
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut inner = self.lock_inner();
-        loop {
+        let mut item = Some(item);
+        self.push_waiting(1, |items, _| items.extend(item.take()))
+            .map_err(|()| PushError(item.take().expect("a closed queue placed nothing")))
+    }
+
+    /// Enqueues every item of `items`, front first, blocking while the
+    /// queue is full: each lock acquisition moves as many as fit, so a
+    /// producer that finds the buffer full refills it a batch at a time
+    /// as the consumer frees space, instead of one blocking push per
+    /// item. Whichever acquisition finds the queue empty fires the data
+    /// hook, exactly as [`CircularQueue::push`] does.
+    ///
+    /// This is the blocking receiver's hand-off: a decoded batch goes in
+    /// with one call, and while the buffer stays full the thread sleeps,
+    /// which stops its socket reads and propagates back pressure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PushError`] if the queue is or becomes closed; the items
+    /// not yet placed stay in `items`, in order.
+    pub fn push_all(&self, items: &mut Vec<T>) -> Result<(), PushError<()>> {
+        self.push_waiting(items.len(), |queue, n| queue.extend(items.drain(..n)))
+            .map_err(PushError)
+    }
+
+    /// The one blocking wait-for-space loop: moves `count` items into the
+    /// queue, `place(queue, n)` appending the next `n` of them, in as few
+    /// lock acquisitions as the free space allows. `Err` once the queue
+    /// is closed, with the rest unplaced.
+    fn push_waiting(
+        &self,
+        mut count: usize,
+        mut place: impl FnMut(&mut VecDeque<T>, usize),
+    ) -> Result<(), ()> {
+        while count > 0 {
+            let mut inner = self.lock_inner();
+            while !inner.closed && inner.items.len() == self.shared.capacity {
+                self.shared.not_full.wait(&mut inner);
+            }
             if inner.closed {
-                return Err(PushError(item));
+                return Err(());
             }
-            if inner.items.len() < self.shared.capacity {
-                let was_empty = inner.items.is_empty();
-                inner.items.push_back(item);
-                drop(inner);
+            let was_empty = inner.items.is_empty();
+            let take = count.min(self.shared.capacity - inner.items.len());
+            place(&mut inner.items, take);
+            count -= take;
+            drop(inner);
+            if take == 1 {
                 self.shared.not_empty.notify_one();
-                if was_empty {
-                    self.fire_data_hook();
-                }
-                return Ok(());
+            } else {
+                self.shared.not_empty.notify_all();
             }
-            self.shared.not_full.wait(&mut inner);
+            if was_empty {
+                self.fire_data_hook();
+            }
         }
+        Ok(())
     }
 
     /// Attempts to enqueue without blocking.
@@ -866,6 +906,49 @@ mod tests {
         assert!(items.is_empty());
         assert_eq!(q.pop(), Some(3));
         assert_eq!(q.pop(), Some(4));
+    }
+
+    #[test]
+    fn push_all_waits_until_every_item_is_placed() {
+        let q = CircularQueue::with_capacity(2);
+        let producer = {
+            let q = q.clone();
+            thread::spawn(move || {
+                let mut items: Vec<u32> = (0..7).collect();
+                q.push_all(&mut items).map(|()| items)
+            })
+        };
+        let mut got = Vec::new();
+        while got.len() < 7 {
+            if q.pop_batch(2, &mut got) == 0 {
+                thread::yield_now();
+            }
+        }
+        assert_eq!(producer.join().unwrap(), Ok(Vec::new()));
+        assert_eq!(got, (0..7).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn push_all_on_close_keeps_the_unplaced_rest_in_order() {
+        let q = CircularQueue::with_capacity(2);
+        // Closes once the first two items fill the buffer: nothing pops,
+        // so the push is then parked with the other two.
+        let closer = {
+            let q = q.clone();
+            thread::spawn(move || {
+                while !q.is_full() {
+                    thread::yield_now();
+                }
+                q.close();
+            })
+        };
+        let mut items = vec![1, 2, 3, 4];
+        assert_eq!(q.push_all(&mut items), Err(PushError(())));
+        assert_eq!(items, vec![3, 4]);
+        closer.join().unwrap();
+        let mut out = Vec::new();
+        q.drain_into(&mut out);
+        assert_eq!(out, vec![1, 2]);
     }
 
     #[test]

@@ -102,6 +102,92 @@ fn batch_paths_conserve_and_order() {
     });
 }
 
+/// The blocking receiver's hand-off: one `push_all` of three items
+/// into a capacity-1 buffer with a data hook, against a consumer that
+/// drains with `pop_batch` and, finding the buffer empty, parks until
+/// the hook says otherwise. Every item arrives once and in order, no
+/// schedule strands the consumer, and — each placement landing in an
+/// empty buffer — the hook fires once per item.
+#[test]
+fn push_all_conserves_orders_and_wakes_on_every_empty_edge() {
+    loom::model(|| {
+        use loom::sync::Arc;
+        let data = CircularQueue::with_capacity(1);
+        // Stand-in for the unbounded control channel.
+        let events = CircularQueue::with_capacity(8);
+        {
+            let events = events.clone();
+            data.set_data_hook(Some(Arc::new(move || {
+                events.try_push(()).expect("control channel overflow");
+            })));
+        }
+        let producer = {
+            let data = data.clone();
+            thread::spawn(move || {
+                let mut batch = vec![1u32, 2, 3];
+                data.push_all(&mut batch).expect("never closed");
+                assert!(batch.is_empty(), "a successful push_all places everything");
+            })
+        };
+        let (mut got, mut parks) = (Vec::new(), 0);
+        while got.len() < 3 {
+            if data.pop_batch(8, &mut got) == 0 {
+                events.pop().expect("control channel closed");
+                parks += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert_eq!(got, vec![1, 2, 3], "lost, duplicated or reordered");
+        // Each hook call left one token: taken by a park or still queued.
+        let mut unread = Vec::new();
+        events.drain_into(&mut unread);
+        assert_eq!(
+            parks + unread.len(),
+            3,
+            "one data-hook call per empty-to-non-empty edge"
+        );
+    });
+}
+
+/// A close racing `push_all`: the items it placed are exactly what the
+/// consumer drains, the rest come back in `items` in order, and it
+/// reports an error exactly when something was left over.
+#[test]
+fn push_all_returns_the_unplaced_rest_on_close() {
+    loom::model(|| {
+        let q = CircularQueue::with_capacity(1);
+        let producer = {
+            let q = q.clone();
+            thread::spawn(move || {
+                let mut batch = vec![1u32, 2, 3];
+                let result = q.push_all(&mut batch);
+                (result.is_ok(), batch)
+            })
+        };
+        let closer = {
+            let q = q.clone();
+            thread::spawn(move || {
+                let first = q.pop();
+                q.close();
+                first
+            })
+        };
+        let first = closer.join().unwrap();
+        let (ok, rest) = producer.join().unwrap();
+        let mut drained: Vec<u32> = first.into_iter().collect();
+        while let Some(v) = q.pop() {
+            drained.push(v);
+        }
+        assert_eq!(
+            ok,
+            rest.is_empty(),
+            "error exactly when items are left over"
+        );
+        drained.extend(rest);
+        assert_eq!(drained, vec![1, 2, 3], "placed prefix plus returned rest");
+    });
+}
+
 /// `pop_batch_observed` samples occupancy under the same lock as the
 /// pop: the reported pair must always be internally consistent
 /// (`take == min(max, occupancy)`, `occupancy <= capacity`), which is

@@ -41,8 +41,9 @@
 //!   LinkEnv` steps of `crates/engine/src/link.rs` that a shard calls
 //!   (code that runs on a reactor event-loop thread multiplexing many
 //!   links), no call that can park the thread — sleeps, connects, accepts, joins, blocking
-//!   channel receives — and no `.lock()` of a mutex whose lock class is
-//!   not marked `shard_safe` in the lockdep class registry. A shard that
+//!   channel receives, the queue's blocking `push_all` — and no
+//!   `.lock()` of a mutex whose lock class is not marked `shard_safe`
+//!   in the lockdep class registry. A shard that
 //!   blocks stalls every link hashed onto it; the runtime counterpart is
 //!   `lockdep::check_blocking`.
 //! * **R7 `lock-class-declared`** — in sync-shimmed crates, every
@@ -170,6 +171,9 @@ const SHARD_BLOCKING_PATTERNS: &[&str] = &[
     ".recv()",
     ".recv_timeout(",
     ".wait(",
+    // The blocking batch push parks while the queue is full; a shard
+    // hands a batch over with the non-blocking `push_batch`.
+    ".push_all(",
 ];
 
 /// Rule R8: the engine's pure wake-up events, and the only functions
@@ -913,6 +917,22 @@ impl Shard {
         assert_eq!(v.len(), 2, "join+recv banned, try_recv fine: {v:?}");
         assert!(v.iter().all(|x| x.rule == "no-blocking-in-shard"));
         assert_eq!((v[0].line, v[1].line), (3, 4));
+    }
+
+    #[test]
+    fn blocking_batch_push_in_shard_impl_is_rejected() {
+        let src = "\
+impl Shard {
+    fn flush(&mut self, link: &mut RecvLink) {
+        let _ = link.queue.push_batch(&mut link.batch);
+        let _ = link.queue.push_all(&mut link.batch);
+    }
+}
+";
+        let v = lint_source("crates/engine/src/shard.rs", src);
+        assert_eq!(v.len(), 1, "push_all banned, push_batch fine: {v:?}");
+        assert_eq!(v[0].rule, "no-blocking-in-shard");
+        assert_eq!(v[0].line, 4);
     }
 
     #[test]
