@@ -524,3 +524,45 @@ fn telemetry_rides_status_reports_on_the_virtual_clock() {
         .all(|r| r.at <= sim.now()), "event stamps bounded by virtual now");
     assert!(!tel.events.is_empty(), "link lifecycle produced events");
 }
+
+#[test]
+fn series_history_keeps_the_newest_windows_once_the_ring_is_full() {
+    // 200 measure ticks into a 128-window ring: 72 windows are evicted,
+    // and what is left must still read as consecutive 1 s windows.
+    let nodes: Vec<NodeId> = (1..=5).map(node).collect();
+    let mut sim = sim(8);
+    // A 100 KBps source keeps 200 simulated seconds cheap.
+    for (i, &id) in nodes.iter().enumerate().rev() {
+        let downstream: Vec<NodeId> = nodes.get(i + 1).copied().into_iter().collect();
+        if i == 0 {
+            let source = Source::new(1, downstream, 1024);
+            sim.add_node(
+                id,
+                NodeBandwidth::total_only(Rate::kbps(100)),
+                Box::new(source),
+            );
+        } else {
+            sim.add_node(
+                id,
+                NodeBandwidth::unlimited(),
+                Box::new(Forwarder::to(downstream)),
+            );
+        }
+    }
+    sim.run_for(200 * SEC);
+    for &id in &nodes {
+        let report = sim.status_report(id).unwrap();
+        let windows = report.series.expect("sim nodes sample series").windows;
+        assert_eq!(windows.len(), 128, "{id:?}");
+        for (w, idx) in windows.iter().zip(72u64..) {
+            assert_eq!(w.idx, idx, "{id:?}");
+            assert_eq!(w.end - w.start, SEC, "{id:?} window {idx}");
+        }
+        for pair in windows.windows(2) {
+            assert_eq!(pair[1].start, pair[0].end, "{id:?} window {}", pair[1].idx);
+        }
+        assert_eq!(windows[127].idx, 199);
+    }
+    let last = sim.status_report(nodes[4]).unwrap().series.unwrap().windows;
+    assert!(last[127].msgs_switched > 0, "the chain carried no data");
+}

@@ -22,8 +22,13 @@
 //! computed against the previous sample inside the ring's single lock,
 //! so a window is internally consistent without any cross-atomic
 //! ordering requirements.
+//!
+//! The ring stores each window as sixteen LEB128 varints rather than a
+//! 144-byte struct: one retained window per node per simulated second
+//! otherwise dominates a large simulation's memory.
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
+use std::iter::Copied;
 
 use serde::{Deserialize, Serialize};
 
@@ -122,10 +127,158 @@ pub struct SeriesBatch {
 /// Per-sample bookkeeping guarded by the ring's single lock.
 #[derive(Debug, Default)]
 struct SeriesState {
-    windows: VecDeque<SeriesWindow>,
+    /// Retained windows, oldest first, each packed as LEB128 varints of
+    /// `end - start` followed by the fifteen counter fields in
+    /// declaration order. `idx` and `start` are implied: indices are
+    /// contiguous up to `next_idx`, and each window starts where the
+    /// previous one ended.
+    packed: VecDeque<u8>,
+    /// Number of windows in `packed`.
+    retained: usize,
+    /// `start` of the oldest retained window.
+    first_start: Nanos,
     next_idx: u64,
     last: SeriesTotals,
     window_open: Nanos,
+}
+
+impl SeriesState {
+    /// Decodes the retained windows, oldest first.
+    fn windows(&self) -> Unpack<'_> {
+        Unpack {
+            bytes: self.packed.iter().copied(),
+            idx: self.next_idx - self.retained as u64,
+            start: self.first_start,
+            left: self.retained,
+        }
+    }
+
+    /// Appends `window` (which must start where the newest retained
+    /// window ended).
+    fn push(&mut self, window: &SeriesWindow) {
+        let SeriesWindow {
+            idx: _,
+            start,
+            end,
+            msgs_switched,
+            msgs_sent,
+            bytes_sent,
+            msgs_received,
+            bytes_received,
+            sends_blocked,
+            recv_queue_hwm,
+            send_queue_hwm,
+            bucket_wait_nanos,
+            coding_systematic_hits,
+            coding_repair_decodes,
+            partial_writes,
+            poison_recoveries,
+            event_drops,
+            span_drops,
+        } = *window;
+        let fields = [
+            end.wrapping_sub(start),
+            msgs_switched,
+            msgs_sent,
+            bytes_sent,
+            msgs_received,
+            bytes_received,
+            sends_blocked,
+            recv_queue_hwm,
+            send_queue_hwm,
+            bucket_wait_nanos,
+            coding_systematic_hits,
+            coding_repair_decodes,
+            partial_writes,
+            poison_recoveries,
+            event_drops,
+            span_drops,
+        ];
+        for mut value in fields {
+            while value >= 0x80 {
+                self.packed.push_back(value as u8 | 0x80);
+                value >>= 7;
+            }
+            self.packed.push_back(value as u8);
+        }
+        self.retained += 1;
+    }
+
+    /// Drops the oldest retained window; the next one now starts the
+    /// ring.
+    fn evict_oldest(&mut self) {
+        let mut windows = self.windows();
+        let Some(oldest) = windows.next() else {
+            return;
+        };
+        let used = self.packed.len() - windows.bytes.len();
+        self.packed.drain(..used);
+        self.first_start = oldest.end;
+        self.retained -= 1;
+    }
+}
+
+/// Iterator decoding a [`SeriesState`]'s packed windows.
+struct Unpack<'a> {
+    bytes: Copied<vec_deque::Iter<'a, u8>>,
+    idx: u64,
+    start: Nanos,
+    left: usize,
+}
+
+impl Unpack<'_> {
+    /// Reads one LEB128 varint.
+    fn varint(&mut self) -> u64 {
+        let mut value = 0u64;
+        let mut shift = 0;
+        for byte in self.bytes.by_ref() {
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        value
+    }
+}
+
+impl Iterator for Unpack<'_> {
+    type Item = SeriesWindow;
+
+    fn next(&mut self) -> Option<SeriesWindow> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        // Struct fields evaluate in the order written: `push`'s order.
+        let window = SeriesWindow {
+            idx: self.idx,
+            start: self.start,
+            end: self.start.wrapping_add(self.varint()),
+            msgs_switched: self.varint(),
+            msgs_sent: self.varint(),
+            bytes_sent: self.varint(),
+            msgs_received: self.varint(),
+            bytes_received: self.varint(),
+            sends_blocked: self.varint(),
+            recv_queue_hwm: self.varint(),
+            send_queue_hwm: self.varint(),
+            bucket_wait_nanos: self.varint(),
+            coding_systematic_hits: self.varint(),
+            coding_repair_decodes: self.varint(),
+            partial_writes: self.varint(),
+            poison_recoveries: self.varint(),
+            event_drops: self.varint(),
+            span_drops: self.varint(),
+        };
+        self.idx += 1;
+        self.start = window.end;
+        Some(window)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
 }
 
 /// Fixed-capacity drop-oldest ring of closed [`SeriesWindow`]s.
@@ -165,7 +318,9 @@ impl SeriesRing {
             sends_blocked: totals.sends_blocked.wrapping_sub(last.sends_blocked),
             recv_queue_hwm: recv_hwm,
             send_queue_hwm: send_hwm,
-            bucket_wait_nanos: totals.bucket_wait_nanos.wrapping_sub(last.bucket_wait_nanos),
+            bucket_wait_nanos: totals
+                .bucket_wait_nanos
+                .wrapping_sub(last.bucket_wait_nanos),
             coding_systematic_hits: totals
                 .coding_systematic_hits
                 .wrapping_sub(last.coding_systematic_hits),
@@ -181,29 +336,29 @@ impl SeriesRing {
         };
         state.last = totals;
         state.window_open = now;
-        if state.windows.len() == self.capacity {
-            state.windows.pop_front();
+        if state.retained == self.capacity {
+            state.evict_oldest();
         }
-        state.windows.push_back(window);
+        state.push(&window);
     }
 
     /// Copies of all retained windows, oldest first (the `/series`
     /// endpoint body and the flight-recorder dump).
     pub fn snapshot(&self) -> Vec<SeriesWindow> {
-        self.state.lock().windows.iter().copied().collect()
+        self.state.lock().windows().collect()
     }
 
     /// Retained windows with `idx >= watermark`, oldest first (the
     /// `StatusReport` piggyback; the caller advances its watermark past
     /// the last returned index).
     pub fn windows_since(&self, watermark: u64) -> Vec<SeriesWindow> {
-        self.state
-            .lock()
-            .windows
-            .iter()
-            .filter(|w| w.idx >= watermark)
-            .copied()
-            .collect()
+        let state = self.state.lock();
+        let first_idx = state.next_idx - state.retained as u64;
+        let skip = watermark.saturating_sub(first_idx);
+        if skip >= state.retained as u64 {
+            return Vec::new();
+        }
+        state.windows().skip(skip as usize).collect()
     }
 
     /// Number of windows closed so far (retained or evicted).
@@ -281,5 +436,30 @@ mod tests {
         let fresh = ring.windows_since(2);
         assert_eq!(fresh.iter().map(|w| w.idx).collect::<Vec<_>>(), vec![2, 3]);
         assert!(ring.windows_since(4).is_empty());
+    }
+
+    #[test]
+    fn packed_windows_cost_at_most_32_bytes() {
+        // Shaped like a `sim_tree` node's windows: 1 s long, a few
+        // hundred messages and a few hundred KB each, nothing else.
+        let ring = SeriesRing::new(DEFAULT_SERIES_CAPACITY);
+        let mut t = SeriesTotals::default();
+        for n in 1..=1_000u64 {
+            let msgs = 200 + n % 300;
+            t.msgs_switched += msgs;
+            t.msgs_sent += msgs;
+            t.msgs_received += msgs;
+            t.bytes_sent += msgs * 1_064;
+            t.bytes_received += msgs * 1_064;
+            ring.sample(n * 1_000_000_000, t, 0, 0);
+        }
+        let state = ring.state.lock();
+        assert_eq!(state.retained, DEFAULT_SERIES_CAPACITY);
+        assert!(
+            state.packed.len() <= 32 * DEFAULT_SERIES_CAPACITY,
+            "{} bytes for {} windows",
+            state.packed.len(),
+            state.retained
+        );
     }
 }
