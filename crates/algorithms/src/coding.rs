@@ -42,51 +42,64 @@ pub const GENERATION: usize = 2;
 /// the evicted generation is always the next one to complete.
 const HOLD_GENERATIONS: usize = 64 * 1024;
 
+/// Writes the coded frame header `[gen: u32][k: u8]`; `k` coefficient
+/// bytes follow it on the wire.
+///
+/// # Panics
+///
+/// Panics if `k` is 0 (the systematic flag) or exceeds 255.
+fn put_coded_header(out: &mut Vec<u8>, gen: u32, k: usize) {
+    assert!(
+        (1..=255).contains(&k),
+        "coefficient count must fit the wire byte"
+    );
+    out.extend_from_slice(&gen.to_be_bytes());
+    out.push(k as u8);
+}
+
 /// Encodes a coded packet into a data message payload:
 /// `[gen: u32][k: u8][coeffs: k bytes][payload]`.
-pub fn encode_coded_msg(
-    origin: NodeId,
-    app: AppId,
-    gen: u32,
-    packet: &CodedPacket,
-) -> Msg {
+///
+/// # Panics
+///
+/// Panics if the packet has no coefficients or more than 255.
+pub fn encode_coded_msg(origin: NodeId, app: AppId, gen: u32, packet: &CodedPacket) -> Msg {
     let coeffs = packet.coeffs();
     let mut payload = Vec::with_capacity(5 + coeffs.len() + packet.data().len());
-    payload.extend_from_slice(&gen.to_be_bytes());
-    payload.push(coeffs.len() as u8);
+    put_coded_header(&mut payload, gen, coeffs.len());
     payload.extend(coeffs.iter().map(|c| c.value()));
     payload.extend_from_slice(packet.data());
     Msg::data(origin, app, gen, payload)
 }
 
-/// Decodes a coded packet from a data message payload.
-///
-/// Returns `None` if the payload is not in the coded format.
-pub fn decode_coded_msg(msg: &Msg) -> Option<(u32, CodedPacket)> {
-    let p = msg.payload();
-    if p.len() < 5 {
-        return None;
-    }
-    let gen = u32::from_be_bytes([p[0], p[1], p[2], p[3]]);
-    let k = p[4] as usize;
-    if k == 0 || p.len() < 5 + k {
-        return None;
-    }
-    let coeffs: Vec<Gf256> = p[5..5 + k].iter().map(|&b| Gf256::new(b)).collect();
-    let data = p[5 + k..].to_vec();
-    Some((gen, CodedPacket::from_parts(coeffs, data)))
-}
-
 /// Wire flag marking a *systematic* (uncoded) frame. It occupies the
-/// byte where the legacy format carries the coefficient count `k`, and
-/// `k == 0` was never a valid coded packet, so pre-systematic decoders
-/// ([`decode_coded_msg`]) return `None` and skip the frame without
-/// error — exactly the forward-compatibility escape the format needs.
+/// byte where a coded frame carries its coefficient count `k`, and
+/// `k == 0` was never a valid coded packet, so decoders that predate
+/// systematic frames skip them without error — exactly the
+/// forward-compatibility escape the format needs.
 const SYSTEMATIC_FLAG: u8 = 0;
 
 /// Byte length of the systematic frame header:
 /// `[gen: u32][SYSTEMATIC_FLAG][generation_size: u8][index: u8]`.
 const SYSTEMATIC_HEADER: usize = 7;
+
+/// Writes the systematic frame header (see [`SYSTEMATIC_HEADER`]).
+///
+/// # Panics
+///
+/// Panics if `generation_size` is 0 or exceeds 255, or if `index` is
+/// out of range.
+fn put_systematic_header(out: &mut Vec<u8>, gen: u32, generation_size: usize, index: usize) {
+    assert!(
+        (1..=255).contains(&generation_size),
+        "generation size must fit the wire byte"
+    );
+    assert!(index < generation_size, "source index out of range");
+    out.extend_from_slice(&gen.to_be_bytes());
+    out.push(SYSTEMATIC_FLAG);
+    out.push(generation_size as u8);
+    out.push(index as u8);
+}
 
 /// Encodes a systematic (uncoded) source packet into a data message:
 /// `[gen: u32][0x00][generation_size: u8][index: u8][payload]`.
@@ -108,22 +121,14 @@ pub fn encode_systematic_msg(
     index: usize,
     payload: &[u8],
 ) -> Msg {
-    assert!(
-        (1..=255).contains(&generation_size),
-        "generation size must fit the wire byte"
-    );
-    assert!(index < generation_size, "source index out of range");
     let mut buf = Vec::with_capacity(SYSTEMATIC_HEADER + payload.len());
-    buf.extend_from_slice(&gen.to_be_bytes());
-    buf.push(SYSTEMATIC_FLAG);
-    buf.push(generation_size as u8);
-    buf.push(index as u8);
+    put_systematic_header(&mut buf, gen, generation_size, index);
     buf.extend_from_slice(payload);
     Msg::data(origin, app, gen, buf)
 }
 
 /// One parsed coded-plane frame: either a flagged systematic source
-/// packet or a legacy coded packet with an explicit coefficient vector.
+/// packet or a coded packet with an explicit coefficient vector.
 /// Payload bytes are sliced zero-copy out of the message in both
 /// variants — parsing a frame never copies data, which matters on the
 /// per-message hot path of a relay or sink.
@@ -147,7 +152,8 @@ pub enum CodedFrame {
     },
 }
 
-/// Decodes either frame kind from a data message payload.
+/// Decodes either frame kind from a data message payload — the one
+/// parser of the coded plane.
 ///
 /// Returns `None` if the payload is in neither format.
 pub fn decode_coded_frame(msg: &Msg) -> Option<(u32, CodedFrame)> {
@@ -215,10 +221,7 @@ impl SplitSource {
     pub fn new(app: AppId, dest_a: NodeId, dest_b: NodeId, msg_bytes: usize) -> Self {
         let template = |index: usize, fill: u8| {
             let mut buf = Vec::with_capacity(SYSTEMATIC_HEADER + msg_bytes);
-            buf.extend_from_slice(&[0u8; 4]);
-            buf.push(SYSTEMATIC_FLAG);
-            buf.push(GENERATION as u8);
-            buf.push(index as u8);
+            put_systematic_header(&mut buf, 0, GENERATION, index);
             buf.resize(SYSTEMATIC_HEADER + msg_bytes, fill);
             buf
         };
@@ -338,15 +341,13 @@ fn combine_held(gen: u32, frames: &[CodedFrame], out: &mut Vec<u8>) -> bool {
         return false;
     };
     let (generation_size, len) = (first.generation_size(), first.payload().len());
-    if !(1..=255).contains(&generation_size)
-        || frames
-            .iter()
-            .any(|f| f.generation_size() != generation_size || f.payload().len() != len)
+    if frames
+        .iter()
+        .any(|f| f.generation_size() != generation_size || f.payload().len() != len)
     {
         return false;
     }
-    out.extend_from_slice(&gen.to_be_bytes());
-    out.push(generation_size as u8);
+    put_coded_header(out, gen, generation_size);
     out.resize(5 + generation_size + len, 0);
     let (coeffs, data) = out[5..].split_at_mut(generation_size);
     for frame in frames {
@@ -383,44 +384,38 @@ impl CodedFrame {
 }
 
 impl CodingRelay {
-    /// A helper node: forwards every packet to `downstreams`.
-    pub fn forwarder(downstreams: Vec<NodeId>) -> Self {
+    fn with_role(
+        downstreams: Vec<NodeId>,
+        code_inputs: Option<usize>,
+        stream_routes: Option<BTreeMap<usize, Vec<NodeId>>>,
+    ) -> Self {
         Self {
             base: IAlgorithmBase::new(),
             downstreams,
-            code_inputs: None,
-            stream_routes: None,
+            code_inputs,
+            stream_routes,
             held: BTreeMap::new(),
             emitted: 0,
         }
+    }
+
+    /// A helper node: forwards every packet to `downstreams`.
+    pub fn forwarder(downstreams: Vec<NodeId>) -> Self {
+        Self::with_role(downstreams, None, None)
     }
 
     /// A stream-aware relay: routes each systematic stream to its own
     /// downstream set. This is node *E* in the no-coding baseline of
     /// Fig. 8(a), which forwards each receiver the stream it lacks.
     pub fn stream_router(routes: Vec<(usize, Vec<NodeId>)>) -> Self {
-        Self {
-            base: IAlgorithmBase::new(),
-            downstreams: Vec::new(),
-            code_inputs: None,
-            stream_routes: Some(routes.into_iter().collect()),
-            held: BTreeMap::new(),
-            emitted: 0,
-        }
+        Self::with_role(Vec::new(), None, Some(routes.into_iter().collect()))
     }
 
     /// A coding node: holds `inputs` packets per generation, then emits
     /// one combined packet (`a + b` when `inputs == 2`).
     pub fn coder(downstreams: Vec<NodeId>, inputs: usize) -> Self {
         assert!(inputs >= 2, "coding needs at least two inputs");
-        Self {
-            base: IAlgorithmBase::new(),
-            downstreams,
-            code_inputs: Some(inputs),
-            stream_routes: None,
-            held: BTreeMap::new(),
-            emitted: 0,
-        }
+        Self::with_role(downstreams, Some(inputs), None)
     }
 
     /// Combined packets emitted (coding mode only).
@@ -441,34 +436,27 @@ impl Algorithm for CodingRelay {
         }
         match self.code_inputs {
             None => {
-                let dests: Vec<NodeId> = match &self.stream_routes {
-                    Some(routes) => {
-                        // A systematic frame names its stream directly;
-                        // a legacy coded packet reveals it only when its
-                        // coefficient row is a unit vector.
-                        let index = decode_coded_frame(&msg).and_then(|(_, frame)| match frame {
-                            CodedFrame::Systematic { index, .. } => Some(index),
-                            CodedFrame::Coded { coeffs, .. } => {
-                                let nonzero: Vec<usize> = coeffs
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, c)| !c.is_zero())
-                                    .map(|(i, _)| i)
-                                    .collect();
-                                match nonzero.as_slice() {
-                                    [i] => Some(*i),
-                                    _ => None,
-                                }
+                // A systematic frame names its stream directly; a coded
+                // packet reveals it only when its coefficient row is a
+                // unit vector.
+                let route = self.stream_routes.as_ref().and_then(|routes| {
+                    let index = match decode_coded_frame(&msg)?.1 {
+                        CodedFrame::Systematic { index, .. } => index,
+                        CodedFrame::Coded { coeffs, .. } => {
+                            let mut nonzero = coeffs
+                                .iter()
+                                .enumerate()
+                                .filter(|(_, c)| !c.is_zero())
+                                .map(|(i, _)| i);
+                            match (nonzero.next(), nonzero.next()) {
+                                (Some(i), None) => i,
+                                _ => return None,
                             }
-                        });
-                        match index.and_then(|i| routes.get(&i)) {
-                            Some(dests) => dests.clone(),
-                            None => self.downstreams.clone(),
                         }
-                    }
-                    None => self.downstreams.clone(),
-                };
-                for dest in dests {
+                    };
+                    routes.get(&index)
+                });
+                for &dest in route.unwrap_or(&self.downstreams) {
                     ctx.send(msg.clone(), dest);
                 }
             }
@@ -490,7 +478,7 @@ impl Algorithm for CodingRelay {
                     if combined {
                         self.emitted += 1;
                         let out = Msg::data(ctx.local_id(), msg.app(), gen, wire);
-                        for dest in self.downstreams.clone() {
+                        for &dest in &self.downstreams {
                             ctx.send(out.clone(), dest);
                         }
                     }
@@ -501,8 +489,7 @@ impl Algorithm for CodingRelay {
                 // Bound the hold buffer: drop generations that are too
                 // far behind (their partner stream stalled or was lost).
                 while self.held.len() > HOLD_GENERATIONS {
-                    let oldest = *self.held.keys().next().expect("non-empty");
-                    self.held.remove(&oldest);
+                    self.held.pop_first();
                 }
             }
         }
@@ -518,108 +505,6 @@ impl Algorithm for CodingRelay {
     }
 }
 
-/// A relay that *merges* several held messages into one larger message —
-/// the other half of the paper's hold mechanism: *"algorithms that
-/// perform overlay multicast with merging **or** network coding"*.
-///
-/// Messages are held per generation (sequence number); once `inputs`
-/// have arrived their payloads are concatenated, each prefixed with a
-/// 4-byte length, and emitted as a single message. This trades one large
-/// send for n small ones — the aggregation pattern of sensor/telemetry
-/// overlays.
-#[derive(Debug)]
-pub struct MergingRelay {
-    base: IAlgorithmBase,
-    downstreams: Vec<NodeId>,
-    inputs: usize,
-    held: BTreeMap<u32, Vec<Msg>>,
-    merged: u64,
-}
-
-impl MergingRelay {
-    /// Creates a relay that merges `inputs` messages per sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs < 2` (nothing to merge).
-    pub fn new(downstreams: Vec<NodeId>, inputs: usize) -> Self {
-        assert!(inputs >= 2, "merging needs at least two inputs");
-        Self {
-            base: IAlgorithmBase::new(),
-            downstreams,
-            inputs,
-            held: BTreeMap::new(),
-            merged: 0,
-        }
-    }
-
-    /// Merged messages emitted so far.
-    pub fn merged(&self) -> u64 {
-        self.merged
-    }
-
-    /// Splits a merged payload back into its parts.
-    pub fn split(payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        let mut offset = 0;
-        while offset + 4 <= payload.len() {
-            let len = u32::from_be_bytes(
-                payload[offset..offset + 4].try_into().expect("4 bytes"),
-            ) as usize;
-            offset += 4;
-            if offset + len > payload.len() {
-                break;
-            }
-            out.push(payload[offset..offset + len].to_vec());
-            offset += len;
-        }
-        out
-    }
-}
-
-impl Algorithm for MergingRelay {
-    fn name(&self) -> &'static str {
-        "merging-relay"
-    }
-
-    fn on_message(&mut self, ctx: &mut dyn Context, msg: Msg) {
-        if msg.ty() != MsgType::Data {
-            self.base.handle_default(ctx, &msg);
-            return;
-        }
-        let gen = msg.seq();
-        let app = msg.app();
-        let held = self.held.entry(gen).or_default();
-        held.push(msg);
-        if held.len() >= self.inputs {
-            let parts = self.held.remove(&gen).expect("just inserted");
-            let mut payload =
-                Vec::with_capacity(parts.iter().map(|m| m.payload().len() + 4).sum());
-            for part in &parts {
-                payload.extend_from_slice(&(part.payload().len() as u32).to_be_bytes());
-                payload.extend_from_slice(part.payload());
-            }
-            self.merged += 1;
-            let out = Msg::data(ctx.local_id(), app, gen, payload);
-            for dest in self.downstreams.clone() {
-                ctx.send(out.clone(), dest);
-            }
-        }
-        while self.held.len() > HOLD_GENERATIONS {
-            let oldest = *self.held.keys().next().expect("non-empty");
-            self.held.remove(&oldest);
-        }
-    }
-
-    fn status(&self) -> serde_json::Value {
-        serde_json::json!({
-            "algorithm": "merging-relay",
-            "held_generations": self.held.len(),
-            "merged": self.merged,
-        })
-    }
-}
-
 /// Decoder workspaces kept warm per sink. Under cross-path skew the
 /// sink can have thousands of generations open at once (each waiting
 /// for its partner stream), so the pool must absorb eviction churn —
@@ -631,23 +516,28 @@ const IDLE_DECODERS: usize = 64;
 ///
 /// Effective throughput in the Fig. 8 sense is the number of *distinct
 /// source payload bytes* recovered — receiving stream *a* twice counts
-/// once, and receiving `a` plus `a + b` counts as both streams.
+/// once, and receiving `a` plus `a + b` counts as both streams. The
+/// decoders are the sink's only ledger: an open generation has recovered
+/// its decoder's systematic hits, a complete one every source, and a
+/// frame its decoder refuses counts nothing.
 ///
-/// Decoders are pooled per stream: a generation that completes returns
-/// its decoder — coefficient rows, payload slots, solve matrices — to
-/// an idle list, and the next generation [`Decoder::reset`]s one
-/// instead of allocating a fresh workspace (the PR 4 `combine_into`
-/// buffer-reuse pattern applied to the decode side).
+/// Decoders are pooled: a generation that completes returns its decoder
+/// — coefficient rows, payload slots, solve matrices — to an idle list,
+/// and the next generation [`Decoder::reset`]s one instead of allocating
+/// a fresh workspace (the PR 4 `combine_into` buffer-reuse pattern
+/// applied to the decode side).
 #[derive(Debug, Default)]
 pub struct DecodingSink {
     base: IAlgorithmBase,
-    /// Ordered by generation so bounding the map evicts the *oldest*
-    /// generation in O(log n) — a keyed scan here would put an O(n)
-    /// walk on the per-message hot path once the map fills.
-    decoders: BTreeMap<u32, Decoder>,
+    /// Per generation, its decoder while open and `None` once complete,
+    /// so a late copy of a completed generation's frame is not credited
+    /// again by a fresh decoder. Boxed so that a completed generation
+    /// costs its key and one word. Ordered by generation so bounding the
+    /// map evicts the *oldest* generation in O(log n) — a keyed scan here
+    /// would put an O(n) walk on the per-message hot path once it fills.
+    decoders: BTreeMap<u32, Option<Box<Decoder>>>,
     /// Reusable decoder workspaces from completed generations.
     idle: Vec<Decoder>,
-    recovered: BTreeMap<u32, Vec<bool>>,
     /// Distinct source-payload bytes recovered.
     effective_bytes: u64,
     /// Fully decoded generations.
@@ -669,20 +559,6 @@ impl DecodingSink {
     pub fn complete_generations(&self) -> u64 {
         self.complete_generations
     }
-
-    fn note_recovered(&mut self, gen: u32, index: usize, bytes: usize, gen_size: usize) {
-        let flags = self
-            .recovered
-            .entry(gen)
-            .or_insert_with(|| vec![false; gen_size]);
-        if index < flags.len() && !flags[index] {
-            flags[index] = true;
-            self.effective_bytes += bytes as u64;
-            if flags.iter().all(|&f| f) {
-                self.complete_generations += 1;
-            }
-        }
-    }
 }
 
 impl Algorithm for DecodingSink {
@@ -698,44 +574,15 @@ impl Algorithm for DecodingSink {
         let Some((gen, frame)) = decode_coded_frame(&msg) else {
             return;
         };
-        let (gen_size, payload_len) = (frame.generation_size(), frame.payload().len());
-        if gen_size == 0 {
+        let payload_len = frame.payload().len();
+        let slot = self.decoders.entry(gen).or_insert_with(|| {
+            let mut d = self.idle.pop().unwrap_or_default();
+            d.reset(frame.generation_size());
+            Some(Box::new(d))
+        });
+        let Some(decoder) = slot else {
+            // The generation is complete: a late copy recovers nothing.
             return;
-        }
-        // A systematic packet (flagged frame or legacy unit-vector row)
-        // recovers its stream directly.
-        let unit_index = match &frame {
-            CodedFrame::Systematic { index, .. } => Some(*index),
-            CodedFrame::Coded { coeffs, .. } => {
-                let mut unit = None;
-                for (i, c) in coeffs.iter().enumerate() {
-                    if c.is_zero() {
-                        continue;
-                    }
-                    if unit.is_some() || *c != Gf256::ONE {
-                        unit = None;
-                        break;
-                    }
-                    unit = Some(i);
-                }
-                unit
-            }
-        };
-        if let Some(i) = unit_index {
-            self.note_recovered(gen, i, payload_len, gen_size);
-        }
-        let decoder = match self.decoders.entry(gen) {
-            std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::btree_map::Entry::Vacant(v) => {
-                let d = match self.idle.pop() {
-                    Some(mut d) => {
-                        d.reset(gen_size);
-                        d
-                    }
-                    None => Decoder::new(gen_size),
-                };
-                v.insert(d)
-            }
         };
         let hits_before = decoder.systematic_hits();
         let repairs_before = decoder.repair_rows();
@@ -748,13 +595,21 @@ impl Algorithm for DecodingSink {
         };
         let decode_nanos = started.elapsed().as_nanos() as u64;
         let complete = decoder.is_complete();
-        let hits = (decoder.systematic_hits() - hits_before) as u64;
+        let hits = decoder.systematic_hits() - hits_before;
         let repairs = decoder.repair_rows() - repairs_before;
         let solved_rows = decoder.elimination_rows();
+        // Systematic arrivals (scaled units included) are recovered on
+        // arrival; the rest of a generation only when it completes.
+        let recovered = if complete {
+            decoder.generation()
+        } else {
+            decoder.systematic_hits()
+        };
+        self.effective_bytes += ((recovered - hits_before) * payload_len) as u64;
         if let Some(tel) = ctx.telemetry_registry() {
             tel.record_coding_decode(decode_nanos, innovative);
             if hits > 0 {
-                tel.record_coding_systematic_hits(hits);
+                tel.record_coding_systematic_hits(hits as u64);
             }
             if repairs > 0 {
                 tel.record_coding_repair_decode();
@@ -764,36 +619,22 @@ impl Algorithm for DecodingSink {
             }
         }
         if complete {
-            for i in 0..gen_size {
-                self.note_recovered(gen, i, payload_len, gen_size);
-            }
-            // The generation is fully accounted: drop its dedupe flags
-            // so `recovered` tracks only *open* generations. Under
-            // cross-path skew that keeps the map thousands of entries
-            // deep instead of pinned at the eviction cap — every
-            // `note_recovered` is a B-tree walk on the per-message hot
-            // path, and tree depth is the cost.
-            self.recovered.remove(&gen);
-            let workspace = self.decoders.remove(&gen).expect("just completed");
+            self.complete_generations += 1;
+            let workspace = slot.take().expect("open until now");
             if self.idle.len() < IDLE_DECODERS {
-                self.idle.push(workspace);
+                self.idle.push(*workspace);
             }
         }
-        // Bound memory on long runs: both maps are ordered, so dropping
-        // the oldest generation is O(log n), not a full-map key scan.
+        // Bound memory on long runs: the map is ordered, so dropping the
+        // oldest generation is O(log n), not a full-map key scan.
         // Evicted workspaces go back to the idle pool like completed
         // ones — eviction churn must not turn into allocation churn.
         while self.decoders.len() > HOLD_GENERATIONS {
-            let oldest = *self.decoders.keys().next().expect("non-empty");
-            if let Some(workspace) = self.decoders.remove(&oldest) {
+            if let Some((_, Some(workspace))) = self.decoders.pop_first() {
                 if self.idle.len() < IDLE_DECODERS {
-                    self.idle.push(workspace);
+                    self.idle.push(*workspace);
                 }
             }
-        }
-        while self.recovered.len() > 2 * HOLD_GENERATIONS {
-            let oldest = *self.recovered.keys().next().expect("non-empty");
-            self.recovered.remove(&oldest);
         }
     }
 
@@ -809,11 +650,27 @@ impl Algorithm for DecodingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
+    use ioverlay_api::{Nanos, NodeTelemetry, TimerToken};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
+    /// The one test context: records every send, reports the sends per
+    /// destination as that destination's backlog, and carries a telemetry
+    /// registry when built with [`MockCtx::with_telemetry`].
     #[derive(Default)]
     struct MockCtx {
         sent: Vec<(Msg, NodeId)>,
+        backlog: HashMap<NodeId, usize>,
+        tel: Option<NodeTelemetry>,
+    }
+
+    impl MockCtx {
+        fn with_telemetry() -> Self {
+            Self {
+                tel: Some(NodeTelemetry::new(true, 16)),
+                ..Self::default()
+            }
+        }
     }
 
     impl Context for MockCtx {
@@ -824,15 +681,16 @@ mod tests {
             0
         }
         fn send(&mut self, msg: Msg, dest: NodeId) {
+            *self.backlog.entry(dest).or_insert(0) += 1;
             self.sent.push((msg, dest));
         }
         fn send_to_observer(&mut self, _msg: Msg) {}
         fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-        fn backlog(&self, _dest: NodeId) -> Option<usize> {
-            None
+        fn backlog(&self, dest: NodeId) -> Option<usize> {
+            self.backlog.get(&dest).copied()
         }
         fn buffer_capacity(&self) -> usize {
-            4
+            3
         }
         fn probe_rtt(&mut self, _p: NodeId) {}
         fn close_link(&mut self, _p: NodeId) {}
@@ -842,6 +700,9 @@ mod tests {
         fn random_u64(&mut self) -> u64 {
             0
         }
+        fn telemetry_registry(&self) -> Option<&NodeTelemetry> {
+            self.tel.as_ref()
+        }
     }
 
     fn coded(gen: u32, index: usize, bytes: usize) -> Msg {
@@ -849,17 +710,50 @@ mod tests {
         encode_coded_msg(NodeId::loopback(9), 1, gen, &p)
     }
 
+    fn systematic(gen: u32, index: usize, bytes: usize) -> Msg {
+        encode_systematic_msg(
+            NodeId::loopback(9),
+            1,
+            gen,
+            GENERATION,
+            index,
+            &vec![index as u8 + 1; bytes],
+        )
+    }
+
+    /// The coded frame `a + b` over the payloads of [`coded`] and
+    /// [`systematic`].
+    fn a_plus_b(gen: u32, bytes: usize) -> Msg {
+        let a = CodedPacket::source(0, GENERATION, vec![1; bytes]);
+        let b = CodedPacket::source(1, GENERATION, vec![2; bytes]);
+        let ab = CodedPacket::combine(&[(Gf256::ONE, &a), (Gf256::ONE, &b)]).unwrap();
+        encode_coded_msg(NodeId::loopback(9), 1, gen, &ab)
+    }
+
+    /// Parses a coded (non-systematic) frame.
+    fn parse_coded(msg: &Msg) -> (u32, Vec<Gf256>, Bytes) {
+        match decode_coded_frame(msg) {
+            Some((gen, CodedFrame::Coded { coeffs, payload })) => (gen, coeffs, payload),
+            other => panic!("expected a coded frame, got {other:?}"),
+        }
+    }
+
     #[test]
     fn coded_payload_roundtrip() {
-        let p = CodedPacket::from_parts(
-            vec![Gf256::new(3), Gf256::new(7)],
-            vec![1, 2, 3, 4],
-        );
+        let p = CodedPacket::from_parts(vec![Gf256::new(3), Gf256::new(7)], vec![1, 2, 3, 4]);
         let msg = encode_coded_msg(NodeId::loopback(1), 5, 42, &p);
-        let (gen, back) = decode_coded_msg(&msg).unwrap();
+        let (gen, coeffs, payload) = parse_coded(&msg);
         assert_eq!(gen, 42);
-        assert_eq!(back, p);
-        assert!(decode_coded_msg(&Msg::data(NodeId::loopback(1), 1, 0, &b"xy"[..])).is_none());
+        assert_eq!(coeffs, p.coeffs());
+        assert_eq!(&payload[..], p.data());
+        assert!(decode_coded_frame(&Msg::data(NodeId::loopback(1), 1, 0, &b"xy"[..])).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "coefficient count must fit the wire byte")]
+    fn a_256_coefficient_row_is_refused_not_sent_as_the_systematic_flag() {
+        let p = CodedPacket::from_parts(vec![Gf256::ONE; 256], vec![0; 4]);
+        encode_coded_msg(NodeId::loopback(1), 5, 0, &p);
     }
 
     #[test]
@@ -872,13 +766,9 @@ mod tests {
         relay.on_message(&mut ctx, coded(0, 1, 16));
         assert_eq!(ctx.sent.len(), 1, "one combined packet out");
         assert_eq!(relay.emitted(), 1);
-        let (gen, combined) = decode_coded_msg(&ctx.sent[0].0).unwrap();
+        let (gen, coeffs, _) = parse_coded(&ctx.sent[0].0);
         assert_eq!(gen, 0);
-        assert_eq!(
-            combined.coeffs(),
-            &[Gf256::ONE, Gf256::ONE],
-            "a + b combination"
-        );
+        assert_eq!(coeffs, [Gf256::ONE, Gf256::ONE], "a + b combination");
     }
 
     /// Four held frames, systematic and coded mixed.
@@ -972,14 +862,40 @@ mod tests {
         sink.on_message(&mut ctx, coded(0, 0, 16));
         assert_eq!(sink.effective_bytes(), 16);
         // Receive the combination a + b.
-        let a = CodedPacket::source(0, GENERATION, vec![1; 16]);
-        let b = CodedPacket::source(1, GENERATION, vec![2; 16]);
-        let ab = CodedPacket::combine(&[(Gf256::ONE, &a), (Gf256::ONE, &b)]).unwrap();
-        sink.on_message(
-            &mut ctx,
-            encode_coded_msg(NodeId::loopback(9), 1, 0, &ab),
-        );
+        sink.on_message(&mut ctx, a_plus_b(0, 16));
         assert_eq!(sink.effective_bytes(), 32, "both streams recovered");
+        assert_eq!(sink.complete_generations(), 1);
+    }
+
+    #[test]
+    fn sink_credits_only_what_its_decoder_recovers() {
+        let mut sink = DecodingSink::new();
+        let mut ctx = MockCtx::default();
+        sink.on_message(&mut ctx, systematic(0, 0, 16));
+        assert_eq!(sink.effective_bytes(), 16);
+        // Stream b at the wrong length: the decoder refuses it.
+        sink.on_message(&mut ctx, systematic(0, 1, 8));
+        assert_eq!(sink.effective_bytes(), 16, "a refused frame counts nothing");
+        sink.on_message(&mut ctx, a_plus_b(0, 16));
+        assert_eq!(sink.effective_bytes(), 32, "a + b with a recovers b");
+        assert_eq!(sink.complete_generations(), 1);
+    }
+
+    #[test]
+    fn late_frames_of_a_complete_generation_count_nothing() {
+        let mut sink = DecodingSink::new();
+        let mut ctx = MockCtx::default();
+        sink.on_message(&mut ctx, systematic(5, 0, 16));
+        sink.on_message(&mut ctx, systematic(5, 1, 16));
+        assert_eq!(sink.effective_bytes(), 32);
+        for late in [systematic(5, 0, 16), a_plus_b(5, 16), systematic(5, 1, 16)] {
+            sink.on_message(&mut ctx, late);
+        }
+        assert_eq!(
+            sink.effective_bytes(),
+            32,
+            "a complete generation stays closed"
+        );
         assert_eq!(sink.complete_generations(), 1);
     }
 
@@ -998,104 +914,20 @@ mod tests {
     fn coded_only_without_second_packet_recovers_nothing() {
         let mut sink = DecodingSink::new();
         let mut ctx = MockCtx::default();
-        let a = CodedPacket::source(0, GENERATION, vec![1; 16]);
-        let b = CodedPacket::source(1, GENERATION, vec![2; 16]);
-        let ab = CodedPacket::combine(&[(Gf256::ONE, &a), (Gf256::ONE, &b)]).unwrap();
-        sink.on_message(
-            &mut ctx,
-            encode_coded_msg(NodeId::loopback(9), 1, 0, &ab),
-        );
+        sink.on_message(&mut ctx, a_plus_b(0, 16));
         assert_eq!(sink.effective_bytes(), 0);
     }
 
     #[test]
-    fn merging_relay_holds_then_concatenates() {
-        let e = NodeId::loopback(5);
-        let mut relay = MergingRelay::new(vec![e], 2);
-        let mut ctx = MockCtx::default();
-        relay.on_message(&mut ctx, Msg::data(NodeId::loopback(1), 7, 3, &b"aaa"[..]));
-        assert!(ctx.sent.is_empty(), "held, waiting for the second input");
-        relay.on_message(&mut ctx, Msg::data(NodeId::loopback(2), 7, 3, &b"bbbbb"[..]));
-        assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(relay.merged(), 1);
-        let out = &ctx.sent[0].0;
-        assert_eq!(out.seq(), 3);
-        let parts = MergingRelay::split(out.payload());
-        assert_eq!(parts, vec![b"aaa".to_vec(), b"bbbbb".to_vec()]);
-    }
-
-    #[test]
-    fn merging_keeps_generations_separate() {
-        let e = NodeId::loopback(5);
-        let mut relay = MergingRelay::new(vec![e], 2);
-        let mut ctx = MockCtx::default();
-        relay.on_message(&mut ctx, Msg::data(NodeId::loopback(1), 7, 0, &b"x"[..]));
-        relay.on_message(&mut ctx, Msg::data(NodeId::loopback(1), 7, 1, &b"y"[..]));
-        assert!(ctx.sent.is_empty(), "different generations never merge");
-        relay.on_message(&mut ctx, Msg::data(NodeId::loopback(2), 7, 1, &b"z"[..]));
-        assert_eq!(ctx.sent.len(), 1);
-        let parts = MergingRelay::split(ctx.sent[0].0.payload());
-        assert_eq!(parts, vec![b"y".to_vec(), b"z".to_vec()]);
-    }
-
-    #[test]
-    fn split_tolerates_truncation() {
-        // A corrupted merged payload yields only the complete parts.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&3u32.to_be_bytes());
-        payload.extend_from_slice(b"abc");
-        payload.extend_from_slice(&100u32.to_be_bytes());
-        payload.extend_from_slice(b"short");
-        let parts = MergingRelay::split(&payload);
-        assert_eq!(parts, vec![b"abc".to_vec()]);
-    }
-
-    #[test]
     fn coding_telemetry_records_encode_and_decode() {
-        struct TelCtx {
-            tel: ioverlay_api::NodeTelemetry,
-            sent: Vec<(Msg, NodeId)>,
-        }
-        impl Context for TelCtx {
-            fn local_id(&self) -> NodeId {
-                NodeId::loopback(1)
-            }
-            fn now(&self) -> Nanos {
-                0
-            }
-            fn send(&mut self, msg: Msg, dest: NodeId) {
-                self.sent.push((msg, dest));
-            }
-            fn send_to_observer(&mut self, _m: Msg) {}
-            fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-            fn backlog(&self, _dest: NodeId) -> Option<usize> {
-                None
-            }
-            fn buffer_capacity(&self) -> usize {
-                4
-            }
-            fn probe_rtt(&mut self, _p: NodeId) {}
-            fn close_link(&mut self, _p: NodeId) {}
-            fn observer(&self) -> Option<NodeId> {
-                None
-            }
-            fn random_u64(&mut self) -> u64 {
-                0
-            }
-            fn telemetry_registry(&self) -> Option<&ioverlay_api::NodeTelemetry> {
-                Some(&self.tel)
-            }
-        }
-        let mut ctx = TelCtx {
-            tel: ioverlay_api::NodeTelemetry::new(true, 16),
-            sent: Vec::new(),
-        };
+        let mut ctx = MockCtx::with_telemetry();
+        let snapshot = |ctx: &MockCtx| ctx.tel.as_ref().unwrap().snapshot();
 
         let mut relay = CodingRelay::coder(vec![NodeId::loopback(5)], 2);
         relay.on_message(&mut ctx, coded(0, 0, 16));
         relay.on_message(&mut ctx, coded(0, 1, 16));
         assert_eq!(relay.emitted(), 1);
-        let snap = ctx.tel.snapshot();
+        let snap = snapshot(&ctx);
         assert_eq!(
             snap.histogram("coding_encode_nanos").unwrap().count,
             1,
@@ -1106,7 +938,7 @@ mod tests {
         sink.on_message(&mut ctx, coded(3, 0, 16));
         sink.on_message(&mut ctx, coded(3, 0, 16)); // duplicate
         sink.on_message(&mut ctx, coded(3, 1, 16));
-        let snap = ctx.tel.snapshot();
+        let snap = snapshot(&ctx);
         assert_eq!(snap.histogram("coding_decode_nanos").unwrap().count, 3);
         assert_eq!(snap.counter("coding_innovative"), Some(2));
         assert_eq!(snap.counter("coding_duplicate"), Some(1));
@@ -1117,12 +949,9 @@ mod tests {
         assert_eq!(elim.sum, 0, "loss-free generation solved for free");
 
         // A generation that needs a repair row shows real elimination.
-        let a = CodedPacket::source(0, GENERATION, vec![1; 16]);
-        let b = CodedPacket::source(1, GENERATION, vec![2; 16]);
-        let ab = CodedPacket::combine(&[(Gf256::ONE, &a), (Gf256::ONE, &b)]).unwrap();
-        sink.on_message(&mut ctx, encode_coded_msg(NodeId::loopback(9), 1, 4, &ab));
+        sink.on_message(&mut ctx, a_plus_b(4, 16));
         sink.on_message(&mut ctx, coded(4, 0, 16));
-        let snap = ctx.tel.snapshot();
+        let snap = snapshot(&ctx);
         assert_eq!(snap.counter("coding_repair_decodes"), Some(1));
         assert_eq!(snap.counter("coding_systematic_hits"), Some(3));
         let elim = snap.histogram("elimination_rows_per_generation").unwrap();
@@ -1134,60 +963,27 @@ mod tests {
     fn split_source_alternates_streams() {
         let (b, c) = (NodeId::loopback(2), NodeId::loopback(3));
         let mut src = SplitSource::new(1, b, c, 32);
-        // MockCtx backlog returns None => "no link yet" => room; bound the
-        // pump with a backlog-tracking ctx instead.
-        #[derive(Default)]
-        struct Bounded {
-            sent: Vec<(Msg, NodeId)>,
-            count: std::collections::HashMap<NodeId, usize>,
-        }
-        impl Context for Bounded {
-            fn local_id(&self) -> NodeId {
-                NodeId::loopback(1)
-            }
-            fn now(&self) -> Nanos {
-                0
-            }
-            fn send(&mut self, msg: Msg, dest: NodeId) {
-                *self.count.entry(dest).or_insert(0) += 1;
-                self.sent.push((msg, dest));
-            }
-            fn send_to_observer(&mut self, _m: Msg) {}
-            fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-            fn backlog(&self, dest: NodeId) -> Option<usize> {
-                self.count.get(&dest).copied()
-            }
-            fn buffer_capacity(&self) -> usize {
-                3
-            }
-            fn probe_rtt(&mut self, _p: NodeId) {}
-            fn close_link(&mut self, _p: NodeId) {}
-            fn observer(&self) -> Option<NodeId> {
-                None
-            }
-            fn random_u64(&mut self) -> u64 {
-                0
-            }
-        }
-        let mut ctx = Bounded::default();
+        // The pump stops once each destination's backlog reaches the
+        // context's buffer capacity.
+        let mut ctx = MockCtx::default();
         src.on_start(&mut ctx);
-        assert_eq!(ctx.count[&b], 3);
-        assert_eq!(ctx.count[&c], 3);
-        // Streams go out as systematic frames with distinct indices;
-        // a legacy decoder skips them rather than misparsing.
+        assert_eq!(ctx.backlog[&b], 3);
+        assert_eq!(ctx.backlog[&c], 3);
+        // Streams go out as systematic frames with distinct indices.
         let (_, fa) = decode_coded_frame(&ctx.sent[0].0).unwrap();
         let (_, fb) = decode_coded_frame(&ctx.sent[1].0).unwrap();
         assert!(matches!(fa, CodedFrame::Systematic { index: 0, .. }));
         assert!(matches!(fb, CodedFrame::Systematic { index: 1, .. }));
-        assert!(decode_coded_msg(&ctx.sent[0].0).is_none());
+        assert_eq!(ctx.sent[2].0.payload()[..4], 1u32.to_be_bytes());
     }
 
     #[test]
     fn systematic_frame_roundtrip_and_legacy_skip() {
         let origin = NodeId::loopback(2);
         let msg = encode_systematic_msg(origin, 5, 42, 16, 3, &[9, 8, 7]);
-        // The legacy parser sees k == 0 and skips without error.
-        assert!(decode_coded_msg(&msg).is_none());
+        // A decoder that predates systematic frames reads `k == 0` here
+        // and skips the frame.
+        assert_eq!(msg.payload()[4], SYSTEMATIC_FLAG);
         let (gen, frame) = decode_coded_frame(&msg).unwrap();
         assert_eq!(gen, 42);
         let CodedFrame::Systematic {
@@ -1209,15 +1005,7 @@ mod tests {
         let mut ctx = MockCtx::default();
         for gen in 0..3u32 {
             for index in 0..GENERATION {
-                let msg = encode_systematic_msg(
-                    NodeId::loopback(9),
-                    1,
-                    gen,
-                    GENERATION,
-                    index,
-                    &[index as u8 + 1; 16],
-                );
-                sink.on_message(&mut ctx, msg);
+                sink.on_message(&mut ctx, systematic(gen, index, 16));
             }
         }
         assert_eq!(sink.effective_bytes(), 3 * 2 * 16);
@@ -1230,10 +1018,8 @@ mod tests {
         let (d, f) = (NodeId::loopback(4), NodeId::loopback(6));
         let mut relay = CodingRelay::stream_router(vec![(0, vec![d]), (1, vec![f])]);
         let mut ctx = MockCtx::default();
-        let m0 = encode_systematic_msg(NodeId::loopback(9), 1, 0, GENERATION, 0, &[1; 8]);
-        let m1 = encode_systematic_msg(NodeId::loopback(9), 1, 0, GENERATION, 1, &[2; 8]);
-        relay.on_message(&mut ctx, m0);
-        relay.on_message(&mut ctx, m1);
+        relay.on_message(&mut ctx, systematic(0, 0, 8));
+        relay.on_message(&mut ctx, systematic(0, 1, 8));
         assert_eq!(ctx.sent.len(), 2);
         assert_eq!(ctx.sent[0].1, d);
         assert_eq!(ctx.sent[1].1, f);
@@ -1244,14 +1030,82 @@ mod tests {
         let e = NodeId::loopback(5);
         let mut relay = CodingRelay::coder(vec![e], 2);
         let mut ctx = MockCtx::default();
-        let a = encode_systematic_msg(NodeId::loopback(9), 1, 0, GENERATION, 0, &[1; 16]);
-        let b = encode_systematic_msg(NodeId::loopback(9), 1, 0, GENERATION, 1, &[2; 16]);
-        relay.on_message(&mut ctx, a);
+        relay.on_message(&mut ctx, systematic(0, 0, 16));
         assert!(ctx.sent.is_empty(), "held, waiting for stream b");
-        relay.on_message(&mut ctx, b);
+        relay.on_message(&mut ctx, systematic(0, 1, 16));
         assert_eq!(relay.emitted(), 1);
-        let (_, combined) = decode_coded_msg(&ctx.sent[0].0).unwrap();
-        assert_eq!(combined.coeffs(), &[Gf256::ONE, Gf256::ONE]);
-        assert_eq!(combined.data(), &[1 ^ 2; 16]);
+        let (_, coeffs, payload) = parse_coded(&ctx.sent[0].0);
+        assert_eq!(coeffs, [Gf256::ONE, Gf256::ONE]);
+        assert_eq!(&payload[..], &[1 ^ 2; 16]);
+    }
+
+    /// A data message for generation 0 whose shape is drawn on its own:
+    /// arbitrary payload bytes, or a well-formed systematic or coded
+    /// frame whose generation size, coefficient count and payload length
+    /// need not agree with the other frames of the generation.
+    fn hostile_msg() -> impl Strategy<Value = Msg> {
+        let origin = NodeId::loopback(9);
+        let bytes = |max: usize| proptest::collection::vec(any::<u8>(), 0..max);
+        prop_oneof![
+            bytes(12).prop_map(move |p| Msg::data(origin, 1, 0, p)),
+            (1usize..4, any::<usize>(), bytes(4)).prop_map(move |(size, index, p)| {
+                encode_systematic_msg(origin, 1, 0, size, index % size, &p)
+            }),
+            (proptest::collection::vec(0u8..4, 1..4), bytes(4)).prop_map(move |(row, p)| {
+                let packet = CodedPacket::from_parts(row.into_iter().map(Gf256::new).collect(), p);
+                encode_coded_msg(origin, 1, 0, &packet)
+            }),
+        ]
+    }
+
+    proptest! {
+        /// Hostile coded traffic into every relay role and the sink:
+        /// nothing panics, every frame a coder emits parses back, and
+        /// the sink never credits a generation more than its size times
+        /// the payload length of the first frame its decoder accepted.
+        #[test]
+        fn hostile_coded_frames_never_panic_or_overcount(
+            msgs in proptest::collection::vec(hostile_msg(), 1..24),
+        ) {
+            let (x, y) = (NodeId::loopback(4), NodeId::loopback(6));
+            for mut relay in [
+                CodingRelay::coder(vec![x], 2),
+                CodingRelay::coder(vec![x], 3),
+                CodingRelay::forwarder(vec![x, y]),
+                CodingRelay::stream_router(vec![(0, vec![x]), (1, vec![y])]),
+            ] {
+                let mut ctx = MockCtx::default();
+                for msg in &msgs {
+                    relay.on_message(&mut ctx, msg.clone());
+                }
+                if relay.code_inputs.is_some() {
+                    prop_assert_eq!(ctx.sent.len() as u64, relay.emitted());
+                    for (out, _) in &ctx.sent {
+                        prop_assert!(decode_coded_frame(out).is_some());
+                    }
+                }
+            }
+
+            let mut sink = DecodingSink::new();
+            let mut ctx = MockCtx::with_telemetry();
+            // Per generation: the size its decoder opened with, and the
+            // payload length of the first frame the decoder accepted.
+            let mut bound: BTreeMap<u32, (usize, Option<usize>)> = BTreeMap::new();
+            let innovative = |ctx: &MockCtx| {
+                ctx.tel.as_ref().unwrap().snapshot().counter("coding_innovative").unwrap_or(0)
+            };
+            for msg in &msgs {
+                let before = innovative(&ctx);
+                sink.on_message(&mut ctx, msg.clone());
+                if let Some((gen, frame)) = decode_coded_frame(msg) {
+                    let (_, len) = bound.entry(gen).or_insert((frame.generation_size(), None));
+                    if innovative(&ctx) > before {
+                        len.get_or_insert(frame.payload().len());
+                    }
+                }
+                let most: usize = bound.values().map(|(size, len)| size * len.unwrap_or(0)).sum();
+                prop_assert!(sink.effective_bytes() <= most as u64);
+            }
+        }
     }
 }

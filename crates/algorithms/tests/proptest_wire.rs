@@ -1,23 +1,23 @@
-//! Wire-format property tests for the systematic coded frames.
+//! Wire-format property tests for the coded plane's two frame kinds.
 //!
-//! The systematic frame reuses the legacy coefficient-count byte as a
-//! `k == 0` flag, which was never a valid coded packet. A legacy
-//! (pre-systematic) decoder must therefore *skip* every flagged frame
-//! by returning `None` — never error, never misparse — while the
-//! frame-aware parser recovers the exact generation, index, and
-//! payload bytes. Legacy coded packets must keep round-tripping
-//! unchanged through both parsers.
+//! Both kinds are read by one parser, `decode_coded_frame`. A systematic
+//! frame puts a zero flag in the byte where a coded frame carries its
+//! coefficient count `k`; `k == 0` was never a valid coded packet, so a
+//! decoder that predates systematic frames skips them. Each kind must
+//! round-trip exactly: a systematic frame to its generation, generation
+//! size, index and payload bytes, a coded packet to its generation,
+//! coefficient row and payload bytes.
 
 use ioverlay_algorithms::coding::{
-    decode_coded_frame, decode_coded_msg, encode_coded_msg, encode_systematic_msg, CodedFrame,
+    decode_coded_frame, encode_coded_msg, encode_systematic_msg, CodedFrame,
 };
 use ioverlay_gf256::{CodedPacket, Gf256};
 use ioverlay_message::NodeId;
 use proptest::prelude::*;
 
 proptest! {
-    /// Any systematic frame is invisible to the legacy parser and
-    /// exact under the frame parser.
+    /// Any systematic frame carries the zero flag a legacy decoder
+    /// skips, and is exact under the frame parser.
     #[test]
     fn legacy_decoders_skip_systematic_frames(
         gen in any::<u32>(),
@@ -28,10 +28,10 @@ proptest! {
         let index = index_seed % gen_size;
         let msg = encode_systematic_msg(NodeId::loopback(3), 7, gen, gen_size, index, &payload);
 
-        // The legacy parser sees the flag where `k` lives and skips.
-        prop_assert!(decode_coded_msg(&msg).is_none());
+        // The flag sits where a coded frame's `k` lives.
+        prop_assert_eq!(msg.payload()[4], 0);
 
-        let (got_gen, frame) = decode_coded_frame(&msg).expect("frame-aware parse");
+        let (got_gen, frame) = decode_coded_frame(&msg).expect("frame parse");
         prop_assert_eq!(got_gen, gen);
         let CodedFrame::Systematic { generation_size, index: got_index, payload: got } = frame
         else {
@@ -42,10 +42,10 @@ proptest! {
         prop_assert_eq!(&got[..], &payload[..]);
     }
 
-    /// Legacy coded packets round-trip unchanged through both the
-    /// legacy parser and the frame parser (as `CodedFrame::Coded`).
+    /// Coded packets round-trip unchanged through the frame parser, as
+    /// `CodedFrame::Coded`.
     #[test]
-    fn coded_packets_roundtrip_through_both_parsers(
+    fn coded_packets_roundtrip_through_the_frame_parser(
         gen in any::<u32>(),
         coeffs in proptest::collection::vec(1u8..=255, 1..33),
         data in proptest::collection::vec(any::<u8>(), 0..300),
@@ -55,10 +55,6 @@ proptest! {
             data,
         );
         let msg = encode_coded_msg(NodeId::loopback(3), 7, gen, &packet);
-
-        let (legacy_gen, legacy) = decode_coded_msg(&msg).expect("legacy parse");
-        prop_assert_eq!(legacy_gen, gen);
-        prop_assert_eq!(&legacy, &packet);
 
         let (frame_gen, frame) = decode_coded_frame(&msg).expect("frame parse");
         prop_assert_eq!(frame_gen, gen);
