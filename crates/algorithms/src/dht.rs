@@ -599,6 +599,7 @@ impl Algorithm for ChordNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ioverlay_api::RecordingCtx;
 
     #[test]
     fn interval_semantics_wrap_the_ring() {
@@ -625,39 +626,9 @@ mod tests {
 
     #[test]
     fn single_node_ring_owns_everything() {
-        struct Ctx {
-            sent: Vec<(Msg, NodeId)>,
-        }
-        impl Context for Ctx {
-            fn local_id(&self) -> NodeId {
-                NodeId::loopback(1)
-            }
-            fn now(&self) -> u64 {
-                0
-            }
-            fn send(&mut self, msg: Msg, dest: NodeId) {
-                self.sent.push((msg, dest));
-            }
-            fn send_to_observer(&mut self, _m: Msg) {}
-            fn set_timer(&mut self, _d: u64, _t: u64) {}
-            fn backlog(&self, _d: NodeId) -> Option<usize> {
-                None
-            }
-            fn buffer_capacity(&self) -> usize {
-                10
-            }
-            fn probe_rtt(&mut self, _p: NodeId) {}
-            fn close_link(&mut self, _p: NodeId) {}
-            fn observer(&self) -> Option<NodeId> {
-                None
-            }
-            fn random_u64(&mut self) -> u64 {
-                0
-            }
-        }
         let me = NodeId::loopback(1);
         let mut node = ChordNode::new(1, me, None);
-        let mut ctx = Ctx { sent: Vec::new() };
+        let mut ctx = RecordingCtx::default();
         node.on_start(&mut ctx);
         assert!(node.joined, "a contactless node creates the ring");
         // Put and get locally.

@@ -629,43 +629,7 @@ impl Algorithm for FederationNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
-
-    #[derive(Default)]
-    struct MockCtx {
-        id: u16,
-        sent: Vec<(Msg, NodeId)>,
-        rng: u64,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(self.id)
-        }
-        fn now(&self) -> Nanos {
-            0
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _m: Msg) {}
-        fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-        fn backlog(&self, _d: NodeId) -> Option<usize> {
-            Some(usize::MAX)
-        }
-        fn buffer_capacity(&self) -> usize {
-            5
-        }
-        fn probe_rtt(&mut self, _p: NodeId) {}
-        fn close_link(&mut self, _p: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            self.rng = self.rng.wrapping_add(0x9E3779B97F4A7C15);
-            self.rng
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     fn n(port: u16) -> NodeId {
         NodeId::loopback(port)
@@ -699,10 +663,7 @@ mod tests {
     fn assignment_records_instances_and_floods() {
         let mut node = FederationNode::new(Policy::SFlow)
             .with_known_hosts([n(2), n(3)]);
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let assign = aware(n(1), 7, 150.0, 0, 1);
         node.on_message(
             &mut ctx,
@@ -710,7 +671,8 @@ mod tests {
         );
         assert_eq!(node.known_instances(7), vec![n(1)]);
         let aware_msgs: Vec<_> = ctx
-            .sent
+            .staged
+            .sends
             .iter()
             .filter(|(m, _)| m.ty() == MsgType::SAware)
             .collect();
@@ -725,10 +687,7 @@ mod tests {
             let mut node = FederationNode::new(policy);
             node.record_instance(&fast_but_busy);
             node.record_instance(&slower_idle);
-            let mut ctx = MockCtx {
-                id: 1,
-                ..Default::default()
-            };
+            let mut ctx = RecordingCtx::new(NodeId::loopback(1));
             let chosen = node
                 .select_instance(&mut ctx, 7, &BTreeSet::new())
                 .unwrap();
@@ -741,10 +700,7 @@ mod tests {
         let mut node = FederationNode::new(Policy::Fixed);
         node.record_instance(&aware(n(10), 7, 200.0, 0, 1));
         node.record_instance(&aware(n(11), 7, 100.0, 0, 1));
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let exclude: BTreeSet<NodeId> = [n(10)].into();
         assert_eq!(node.select_instance(&mut ctx, 7, &exclude), Some(n(11)));
         let exclude_all: BTreeSet<NodeId> = [n(10), n(11)].into();
@@ -758,10 +714,7 @@ mod tests {
         node.hosted = Some((1, 100.0));
         node.record_instance(&aware(n(2), 2, 100.0, 0, 1));
         node.record_instance(&aware(n(3), 3, 100.0, 0, 1));
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let fed = FederatePayload {
             session: 42,
             requirement: Requirement::chain(vec![1, 2, 3]).unwrap(),
@@ -775,9 +728,9 @@ mod tests {
         );
         // The node assigns itself to vertex 0, picks n(2) for vertex 1,
         // and forwards the federation there.
-        assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].1, n(2));
-        let fwd = FederatePayload::decode(ctx.sent[0].0.payload()).unwrap();
+        assert_eq!(ctx.staged.sends.len(), 1);
+        assert_eq!(ctx.staged.sends[0].1, n(2));
+        let fwd = FederatePayload::decode(ctx.staged.sends[0].0.payload()).unwrap();
         assert_eq!(fwd.assignment[&0], n(1));
         assert_eq!(fwd.assignment[&1], n(2));
         assert_eq!(fwd.current_vertex, 1);
@@ -787,10 +740,7 @@ mod tests {
     fn sink_concludes_and_deploys_to_all_assigned() {
         let mut sink = FederationNode::new(Policy::Fixed);
         sink.hosted = Some((3, 100.0));
-        let mut ctx = MockCtx {
-            id: 3,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(3));
         let mut assignment = BTreeMap::new();
         assignment.insert(0, n(1));
         assignment.insert(1, n(2));
@@ -807,7 +757,8 @@ mod tests {
         );
         assert_eq!(sink.concluded().len(), 1);
         let deploys: Vec<_> = ctx
-            .sent
+            .staged
+            .sends
             .iter()
             .filter(|(m, _)| m.ty() == FED_DEPLOY_MSG)
             .collect();
@@ -819,10 +770,7 @@ mod tests {
     #[test]
     fn deploy_sets_up_data_forwarding_roles() {
         let mut node = FederationNode::new(Policy::Fixed);
-        let mut ctx = MockCtx {
-            id: 2,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(2));
         let mut assignment = BTreeMap::new();
         assignment.insert(0, n(1));
         assignment.insert(1, n(2));
@@ -841,7 +789,8 @@ mod tests {
         // Session data flows through to the successor.
         node.on_message(&mut ctx, Msg::data(n(1), 42, 0, vec![0u8; 100]));
         let fwd: Vec<_> = ctx
-            .sent
+            .staged
+            .sends
             .iter()
             .filter(|(m, _)| m.ty() == MsgType::Data)
             .collect();
@@ -862,10 +811,7 @@ mod tests {
     #[test]
     fn aware_relay_decrements_ttl_and_stops_at_zero() {
         let mut relay = FederationNode::new(Policy::Fixed).with_known_hosts([n(5)]);
-        let mut ctx = MockCtx {
-            id: 4,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(4));
         let msg = |ttl| {
             Msg::new(
                 MsgType::SAware,
@@ -876,7 +822,7 @@ mod tests {
             )
         };
         relay.on_message(&mut ctx, msg(0));
-        assert!(ctx.sent.is_empty(), "ttl 0 is not relayed");
+        assert!(ctx.staged.sends.is_empty(), "ttl 0 is not relayed");
         relay.on_message(
             &mut ctx,
             Msg::new(
@@ -887,8 +833,8 @@ mod tests {
                 AwarePayload { ttl: 2, epoch: 2, ..aware(n(9), 7, 50.0, 0, 1) }.encode(),
             ),
         );
-        assert_eq!(ctx.sent.len(), 1);
-        let relayed = AwarePayload::decode(ctx.sent[0].0.payload()).unwrap();
+        assert_eq!(ctx.staged.sends.len(), 1);
+        let relayed = AwarePayload::decode(ctx.staged.sends[0].0.payload()).unwrap();
         assert_eq!(relayed.ttl, 1);
     }
 }

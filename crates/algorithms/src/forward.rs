@@ -92,50 +92,18 @@ impl Algorithm for StaticForwarder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
-
-    struct MockCtx {
-        sent: Vec<(Msg, NodeId)>,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(1)
-        }
-        fn now(&self) -> Nanos {
-            0
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _msg: Msg) {}
-        fn set_timer(&mut self, _delay: Nanos, _token: TimerToken) {}
-        fn backlog(&self, _dest: NodeId) -> Option<usize> {
-            None
-        }
-        fn buffer_capacity(&self) -> usize {
-            10
-        }
-        fn probe_rtt(&mut self, _peer: NodeId) {}
-        fn close_link(&mut self, _peer: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     #[test]
     fn copies_data_to_all_route_downstreams() {
         let (d, f) = (NodeId::loopback(4), NodeId::loopback(6));
         let mut alg = StaticForwarder::new().route(1, vec![d, f]);
-        let mut ctx = MockCtx { sent: Vec::new() };
+        let mut ctx = RecordingCtx::default();
         let msg = Msg::data(NodeId::loopback(9), 1, 0, vec![1u8; 100]);
         alg.on_message(&mut ctx, msg.clone());
-        assert_eq!(ctx.sent.len(), 2);
-        assert_eq!(ctx.sent[0], (msg.clone(), d));
-        assert_eq!(ctx.sent[1], (msg, f));
+        assert_eq!(ctx.staged.sends.len(), 2);
+        assert_eq!(ctx.staged.sends[0], (msg.clone(), d));
+        assert_eq!(ctx.staged.sends[1], (msg, f));
         assert_eq!(alg.data_seen(), 1);
     }
 
@@ -143,13 +111,13 @@ mod tests {
     fn fan_out_shares_one_payload_allocation_in_route_order() {
         let route: Vec<NodeId> = [6, 4, 5].map(NodeId::loopback).to_vec();
         let mut alg = StaticForwarder::new().route(1, route.clone());
-        let mut ctx = MockCtx { sent: Vec::new() };
+        let mut ctx = RecordingCtx::default();
         let msg = Msg::data(NodeId::loopback(9), 1, 0, vec![7u8; 2048]);
         let payload = msg.payload().as_ptr();
         alg.on_message(&mut ctx, msg);
-        let dests: Vec<NodeId> = ctx.sent.iter().map(|(_, d)| *d).collect();
+        let dests: Vec<NodeId> = ctx.staged.sends.iter().map(|(_, d)| *d).collect();
         assert_eq!(dests, route, "route order, not address order");
-        for (copy, _) in &ctx.sent {
+        for (copy, _) in &ctx.staged.sends {
             assert_eq!(copy.payload().as_ptr(), payload, "no payload copy");
         }
     }
@@ -159,18 +127,21 @@ mod tests {
         let mut alg = StaticForwarder::new()
             .route(1, vec![NodeId::loopback(4)])
             .route(2, vec![]);
-        let mut ctx = MockCtx { sent: Vec::new() };
+        let mut ctx = RecordingCtx::default();
         alg.on_message(&mut ctx, Msg::data(NodeId::loopback(9), 2, 0, &b"x"[..]));
         alg.on_message(&mut ctx, Msg::data(NodeId::loopback(9), 3, 0, &b"x"[..]));
-        assert!(ctx.sent.is_empty(), "app 2 sinks, app 3 has no route");
+        assert!(
+            ctx.staged.sends.is_empty(),
+            "app 2 sinks, app 3 has no route"
+        );
         alg.on_message(&mut ctx, Msg::data(NodeId::loopback(9), 1, 0, &b"x"[..]));
-        assert_eq!(ctx.sent.len(), 1);
+        assert_eq!(ctx.staged.sends.len(), 1);
     }
 
     #[test]
     fn status_reflects_counters() {
         let mut alg = StaticForwarder::new();
-        let mut ctx = MockCtx { sent: Vec::new() };
+        let mut ctx = RecordingCtx::default();
         alg.on_message(&mut ctx, Msg::data(NodeId::loopback(9), 1, 0, vec![0u8; 64]));
         let status = alg.status();
         assert_eq!(status["data_seen"], 1);

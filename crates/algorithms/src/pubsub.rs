@@ -328,41 +328,7 @@ impl Algorithm for ContentRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
-
-    #[derive(Default)]
-    struct MockCtx {
-        id: u16,
-        sent: Vec<(Msg, NodeId)>,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(self.id)
-        }
-        fn now(&self) -> Nanos {
-            0
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _m: Msg) {}
-        fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-        fn backlog(&self, _d: NodeId) -> Option<usize> {
-            None
-        }
-        fn buffer_capacity(&self) -> usize {
-            10
-        }
-        fn probe_rtt(&mut self, _p: NodeId) {}
-        fn close_link(&mut self, _p: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     fn n(p: u16) -> NodeId {
         NodeId::loopback(p)
@@ -406,10 +372,7 @@ mod tests {
     #[test]
     fn subscriptions_flood_with_duplicate_suppression() {
         let mut router = ContentRouter::new(1, vec![n(2), n(3), n(4)]);
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let sub = SubscribePayload {
             subscriber: n(9),
             predicate: Predicate::new().with("x", Constraint::Exists),
@@ -419,11 +382,11 @@ mod tests {
         let msg = Msg::new(SUBSCRIBE_MSG, n(2), 1, 0, sub.encode());
         router.on_message(&mut ctx, msg.clone());
         // Relayed to every neighbor except the one it came from.
-        assert_eq!(ctx.sent.len(), 2);
-        assert!(ctx.sent.iter().all(|(_, d)| *d != n(2)));
+        assert_eq!(ctx.staged.sends.len(), 2);
+        assert!(ctx.staged.sends.iter().all(|(_, d)| *d != n(2)));
         // A duplicate (same version) is suppressed.
         router.on_message(&mut ctx, msg);
-        assert_eq!(ctx.sent.len(), 2);
+        assert_eq!(ctx.staged.sends.len(), 2);
         // A newer version propagates again.
         let newer = SubscribePayload {
             version: 2,
@@ -439,16 +402,13 @@ mod tests {
             .unwrap()
         };
         router.on_message(&mut ctx, Msg::new(SUBSCRIBE_MSG, n(3), 1, 0, newer.encode()));
-        assert_eq!(ctx.sent.len(), 4);
+        assert_eq!(ctx.staged.sends.len(), 4);
     }
 
     #[test]
     fn events_follow_matching_routes_only() {
         let mut router = ContentRouter::new(1, vec![n(2), n(3)]);
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         // Subscriber 9 (via hop 2) wants x > 10; subscriber 8 (via hop 3)
         // wants x < 5.
         for (subscriber, via, constraint) in [
@@ -463,38 +423,32 @@ mod tests {
             };
             router.on_message(&mut ctx, Msg::new(SUBSCRIBE_MSG, via, 1, 0, sub.encode()));
         }
-        ctx.sent.clear();
+        ctx.staged.sends.clear();
         router.publish(&mut ctx, &Event::new().with("x", 42));
-        assert_eq!(ctx.sent.len(), 1, "only the Gt(10) route matches");
-        assert_eq!(ctx.sent[0].1, n(2));
-        ctx.sent.clear();
+        assert_eq!(ctx.staged.sends.len(), 1, "only the Gt(10) route matches");
+        assert_eq!(ctx.staged.sends[0].1, n(2));
+        ctx.staged.sends.clear();
         router.publish(&mut ctx, &Event::new().with("x", 7));
-        assert!(ctx.sent.is_empty(), "nobody wants x = 7");
+        assert!(ctx.staged.sends.is_empty(), "nobody wants x = 7");
     }
 
     #[test]
     fn local_subscriptions_deliver_without_forwarding_back() {
         let mut router = ContentRouter::new(1, vec![n(2)])
             .with_subscription(Predicate::new().with("kind", Constraint::Eq(3)));
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let event = Event::new().with("kind", 3).with_body(b"payload".to_vec());
         let msg = Msg::data(n(2), 1, 0, event.encode());
         router.on_message(&mut ctx, msg);
         assert_eq!(router.delivered().len(), 1);
         assert_eq!(router.delivered()[0].body, b"payload");
-        assert!(ctx.sent.is_empty(), "no routes, nothing forwarded");
+        assert!(ctx.staged.sends.is_empty(), "no routes, nothing forwarded");
     }
 
     #[test]
     fn reverse_path_suppresses_echo() {
         let mut router = ContentRouter::new(1, vec![n(2)]);
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         // Route toward subscriber 9 goes via node 2.
         let sub = SubscribePayload {
             subscriber: n(9),
@@ -503,10 +457,10 @@ mod tests {
             ttl: 0,
         };
         router.on_message(&mut ctx, Msg::new(SUBSCRIBE_MSG, n(2), 1, 0, sub.encode()));
-        ctx.sent.clear();
+        ctx.staged.sends.clear();
         // An event arriving *from* node 2 must not bounce back to node 2.
         let event = Event::new().with("x", 1);
         router.on_message(&mut ctx, Msg::data(n(2), 1, 0, event.encode()));
-        assert!(ctx.sent.is_empty());
+        assert!(ctx.staged.sends.is_empty());
     }
 }

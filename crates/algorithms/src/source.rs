@@ -228,60 +228,20 @@ impl Algorithm for SinkApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
-    use std::collections::HashMap;
-
-    #[derive(Default)]
-    struct MockCtx {
-        sent: Vec<(Msg, NodeId)>,
-        timers: Vec<(Nanos, TimerToken)>,
-        backlogs: HashMap<NodeId, usize>,
-        cap: usize,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(1)
-        }
-        fn now(&self) -> Nanos {
-            0
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-            *self.backlogs.entry(dest).or_insert(0) += 1;
-        }
-        fn send_to_observer(&mut self, _msg: Msg) {}
-        fn set_timer(&mut self, delay: Nanos, token: TimerToken) {
-            self.timers.push((delay, token));
-        }
-        fn backlog(&self, dest: NodeId) -> Option<usize> {
-            self.backlogs.get(&dest).copied()
-        }
-        fn buffer_capacity(&self) -> usize {
-            self.cap
-        }
-        fn probe_rtt(&mut self, _peer: NodeId) {}
-        fn close_link(&mut self, _peer: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     #[test]
     fn back_to_back_fills_buffers_then_rearms() {
         let dest = NodeId::loopback(2);
         let mut src =
             SourceApp::new(1, vec![dest], 100, SourceMode::BackToBack).deployed();
-        let mut ctx = MockCtx {
-            cap: 5,
-            ..MockCtx::default()
+        let mut ctx = RecordingCtx {
+            capacity: 5,
+            ..RecordingCtx::default()
         };
         src.on_start(&mut ctx);
-        assert_eq!(ctx.sent.len(), 5, "fills the buffer exactly");
-        assert_eq!(ctx.timers.len(), 1, "re-arms its pump timer");
+        assert_eq!(ctx.staged.sends.len(), 5, "fills the buffer exactly");
+        assert_eq!(ctx.staged.timers.len(), 1, "re-arms its pump timer");
         assert_eq!(src.sent_msgs(), 5);
     }
 
@@ -290,16 +250,16 @@ mod tests {
         let (d1, d2) = (NodeId::loopback(2), NodeId::loopback(3));
         let mut src =
             SourceApp::new(1, vec![d1, d2], 100, SourceMode::BackToBack).deployed();
-        let mut ctx = MockCtx {
-            cap: 5,
-            ..MockCtx::default()
+        let mut ctx = RecordingCtx {
+            capacity: 5,
+            ..RecordingCtx::default()
         };
-        ctx.backlogs.insert(d2, 4); // d2 nearly full
+        ctx.depths.insert(d2, 4); // d2 nearly full
         src.on_start(&mut ctx);
         // Only one slot of headroom on d2 -> one message emitted, copied
         // to both.
         assert_eq!(src.sent_msgs(), 1);
-        assert_eq!(ctx.sent.len(), 2);
+        assert_eq!(ctx.staged.sends.len(), 2);
     }
 
     #[test]
@@ -314,24 +274,24 @@ mod tests {
             },
         )
         .deployed();
-        let mut ctx = MockCtx {
-            cap: 100,
-            ..MockCtx::default()
+        let mut ctx = RecordingCtx {
+            capacity: 100,
+            ..RecordingCtx::default()
         };
         src.on_start(&mut ctx);
         src.on_timer(&mut ctx, PUMP_TIMER);
         src.on_timer(&mut ctx, PUMP_TIMER);
         assert_eq!(src.sent_msgs(), 3);
-        assert_eq!(ctx.timers.len(), 3);
+        assert_eq!(ctx.staged.timers.len(), 3);
     }
 
     #[test]
     fn deploy_and_terminate_control_the_source() {
         let dest = NodeId::loopback(2);
         let mut src = SourceApp::new(7, vec![dest], 10, SourceMode::BackToBack);
-        let mut ctx = MockCtx {
-            cap: 2,
-            ..MockCtx::default()
+        let mut ctx = RecordingCtx {
+            capacity: 2,
+            ..RecordingCtx::default()
         };
         src.on_start(&mut ctx);
         assert_eq!(src.sent_msgs(), 0, "not deployed yet");
@@ -341,7 +301,7 @@ mod tests {
             &mut ctx,
             Msg::control(MsgType::STerminate, NodeId::loopback(9), 7),
         );
-        ctx.backlogs.clear();
+        ctx.staged.drain_sends(); // the buffer drains: room again
         src.on_timer(&mut ctx, PUMP_TIMER);
         assert_eq!(src.sent_msgs(), 2, "terminated source stays quiet");
     }
@@ -349,7 +309,7 @@ mod tests {
     #[test]
     fn sink_counts_only_data() {
         let mut sink = SinkApp::new();
-        let mut ctx = MockCtx::default();
+        let mut ctx = RecordingCtx::default();
         sink.on_message(&mut ctx, Msg::data(NodeId::loopback(9), 1, 0, vec![0u8; 77]));
         sink.on_message(
             &mut ctx,
@@ -364,12 +324,12 @@ mod tests {
     fn sequence_numbers_increment() {
         let dest = NodeId::loopback(2);
         let mut src = SourceApp::new(1, vec![dest], 10, SourceMode::BackToBack).deployed();
-        let mut ctx = MockCtx {
-            cap: 3,
-            ..MockCtx::default()
+        let mut ctx = RecordingCtx {
+            capacity: 3,
+            ..RecordingCtx::default()
         };
         src.on_start(&mut ctx);
-        let seqs: Vec<u32> = ctx.sent.iter().map(|(m, _)| m.seq()).collect();
+        let seqs: Vec<u32> = ctx.staged.sends.iter().map(|(m, _)| m.seq()).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
     }
 }

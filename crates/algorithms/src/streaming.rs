@@ -198,44 +198,7 @@ impl Algorithm for MediaSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::TimerToken;
-
-    #[derive(Default)]
-    struct MockCtx {
-        now: Nanos,
-        sent: Vec<(Msg, NodeId)>,
-        timers: Vec<(Nanos, TimerToken)>,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(1)
-        }
-        fn now(&self) -> Nanos {
-            self.now
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _m: Msg) {}
-        fn set_timer(&mut self, d: Nanos, t: TimerToken) {
-            self.timers.push((d, t));
-        }
-        fn backlog(&self, _d: NodeId) -> Option<usize> {
-            None
-        }
-        fn buffer_capacity(&self) -> usize {
-            10
-        }
-        fn probe_rtt(&mut self, _p: NodeId) {}
-        fn close_link(&mut self, _p: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     fn frame(seq: u32, produced_at: Nanos) -> Msg {
         let mut payload = vec![0u8; 64];
@@ -246,26 +209,26 @@ mod tests {
     #[test]
     fn source_emits_stamped_frames_at_cbr() {
         let mut src = MediaSource::new(1, vec![NodeId::loopback(2)], 256, 33_000_000);
-        let mut ctx = MockCtx {
+        let mut ctx = RecordingCtx {
             now: 1_000,
-            ..Default::default()
+            ..RecordingCtx::default()
         };
         src.on_start(&mut ctx);
         src.on_timer(&mut ctx, FRAME_TIMER);
-        assert_eq!(ctx.sent.len(), 2);
-        assert_eq!(ctx.timers.len(), 2);
-        let stamp = u64::from_be_bytes(ctx.sent[0].0.payload()[..8].try_into().unwrap());
+        assert_eq!(ctx.staged.sends.len(), 2);
+        assert_eq!(ctx.staged.timers.len(), 2);
+        let stamp = u64::from_be_bytes(ctx.staged.sends[0].0.payload()[..8].try_into().unwrap());
         assert_eq!(stamp, 1_000);
-        assert_eq!(ctx.sent[0].0.seq(), 0);
-        assert_eq!(ctx.sent[1].0.seq(), 1);
+        assert_eq!(ctx.staged.sends[0].0.seq(), 0);
+        assert_eq!(ctx.staged.sends[1].0.seq(), 1);
     }
 
     #[test]
     fn sink_measures_delay_and_lateness() {
         let mut sink = MediaSink::new(1, 50_000_000); // 50 ms deadline
-        let mut ctx = MockCtx {
+        let mut ctx = RecordingCtx {
             now: 10_000_000,
-            ..Default::default()
+            ..RecordingCtx::default()
         };
         sink.on_message(&mut ctx, frame(0, 0)); // 10 ms transit: on time
         ctx.now = 100_000_000;
@@ -279,7 +242,7 @@ mod tests {
     #[test]
     fn sink_counts_sequence_gaps() {
         let mut sink = MediaSink::new(1, u64::MAX);
-        let mut ctx = MockCtx::default();
+        let mut ctx = RecordingCtx::default();
         sink.on_message(&mut ctx, frame(0, 0));
         sink.on_message(&mut ctx, frame(1, 0));
         sink.on_message(&mut ctx, frame(4, 0)); // frames 2, 3 lost
@@ -291,7 +254,7 @@ mod tests {
     #[test]
     fn jitter_is_zero_for_perfectly_even_arrivals() {
         let mut sink = MediaSink::new(1, u64::MAX);
-        let mut ctx = MockCtx::default();
+        let mut ctx = RecordingCtx::default();
         for i in 0..20u32 {
             ctx.now = u64::from(i) * 33_000_000 + 5_000_000; // constant transit
             sink.on_message(&mut ctx, frame(i, u64::from(i) * 33_000_000));
@@ -306,14 +269,14 @@ mod tests {
     #[test]
     fn terminate_stops_the_source() {
         let mut src = MediaSource::new(1, vec![NodeId::loopback(2)], 64, 1_000);
-        let mut ctx = MockCtx::default();
+        let mut ctx = RecordingCtx::default();
         src.on_start(&mut ctx);
         src.on_message(
             &mut ctx,
             Msg::control(MsgType::STerminate, NodeId::loopback(9), 1),
         );
-        let before = ctx.sent.len();
+        let before = ctx.staged.sends.len();
         src.on_timer(&mut ctx, FRAME_TIMER);
-        assert_eq!(ctx.sent.len(), before);
+        assert_eq!(ctx.staged.sends.len(), before);
     }
 }

@@ -366,41 +366,7 @@ impl Algorithm for TreeNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ioverlay_api::{Nanos, TimerToken};
-
-    #[derive(Default)]
-    struct MockCtx {
-        id: u16,
-        sent: Vec<(Msg, NodeId)>,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            NodeId::loopback(self.id)
-        }
-        fn now(&self) -> Nanos {
-            0
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _m: Msg) {}
-        fn set_timer(&mut self, _d: Nanos, _t: TimerToken) {}
-        fn backlog(&self, _d: NodeId) -> Option<usize> {
-            Some(usize::MAX) // never room: keep pumps quiet in unit tests
-        }
-        fn buffer_capacity(&self) -> usize {
-            5
-        }
-        fn probe_rtt(&mut self, _p: NodeId) {}
-        fn close_link(&mut self, _p: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            0
-        }
-    }
+    use ioverlay_api::RecordingCtx;
 
     fn n(port: u16) -> NodeId {
         NodeId::loopback(port)
@@ -426,10 +392,7 @@ mod tests {
         let mut member = TreeNode::new(TreeVariant::Unicast, 1, 100.0, 1024);
         member.joined = true;
         member.source = Some(source);
-        let mut ctx = MockCtx {
-            id: 5,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(5));
         let q = QueryPayload {
             joiner: n(9),
             source,
@@ -437,9 +400,9 @@ mod tests {
             ttl: 32,
         };
         member.handle_query(&mut ctx, q);
-        assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].1, source);
-        assert_eq!(ctx.sent[0].0.ty(), MsgType::SQuery);
+        assert_eq!(ctx.staged.sends.len(), 1);
+        assert_eq!(ctx.staged.sends[0].1, source);
+        assert_eq!(ctx.staged.sends[0].0.ty(), MsgType::SQuery);
         assert!(member.children.is_empty(), "member does not adopt");
     }
 
@@ -448,10 +411,7 @@ mod tests {
         let mut source = TreeNode::new(TreeVariant::Unicast, 1, 200.0, 1024);
         source.is_source = true;
         source.joined = true;
-        let mut ctx = MockCtx {
-            id: 1,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         for joiner in [n(2), n(3), n(4), n(5)] {
             let q = QueryPayload {
                 joiner,
@@ -463,7 +423,8 @@ mod tests {
         }
         assert_eq!(source.degree(), 4);
         let acks: Vec<&(Msg, NodeId)> = ctx
-            .sent
+            .staged
+            .sends
             .iter()
             .filter(|(m, _)| m.ty() == MsgType::SQueryAck)
             .collect();
@@ -474,10 +435,7 @@ mod tests {
     fn random_variant_adopts_at_first_contact() {
         let mut member = TreeNode::new(TreeVariant::Random, 1, 100.0, 1024);
         member.joined = true;
-        let mut ctx = MockCtx {
-            id: 3,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(3));
         let q = QueryPayload {
             joiner: n(9),
             source: n(1),
@@ -486,8 +444,8 @@ mod tests {
         };
         member.handle_query(&mut ctx, q);
         assert!(member.children.contains(&n(9)));
-        assert_eq!(ctx.sent[0].0.ty(), MsgType::SQueryAck);
-        assert_eq!(ctx.sent[0].1, n(9));
+        assert_eq!(ctx.staged.sends[0].0.ty(), MsgType::SQueryAck);
+        assert_eq!(ctx.staged.sends[0].1, n(9));
     }
 
     #[test]
@@ -499,10 +457,7 @@ mod tests {
         // degree 2, bandwidth 100 -> stress 2.0; child n(4) advertises 0.3.
         member.neighbor_stress.insert(n(4), 0.3);
         member.neighbor_stress.insert(n(1), 5.0);
-        let mut ctx = MockCtx {
-            id: 3,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(3));
         let q = QueryPayload {
             joiner: n(9),
             source: n(1),
@@ -510,11 +465,15 @@ mod tests {
             ttl: 32,
         };
         member.handle_query(&mut ctx, q);
-        assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].1, n(4), "forwarded toward minimum stress");
-        assert_eq!(ctx.sent[0].0.ty(), MsgType::SQuery);
+        assert_eq!(ctx.staged.sends.len(), 1);
+        assert_eq!(
+            ctx.staged.sends[0].1,
+            n(4),
+            "forwarded toward minimum stress"
+        );
+        assert_eq!(ctx.staged.sends[0].0.ty(), MsgType::SQuery);
         // The forwarded query records this node as visited.
-        let fwd = QueryPayload::decode(ctx.sent[0].0.payload()).unwrap();
+        let fwd = QueryPayload::decode(ctx.staged.sends[0].0.payload()).unwrap();
         assert!(fwd.visited.contains(&n(3)));
         assert_eq!(fwd.ttl, 31);
     }
@@ -525,10 +484,7 @@ mod tests {
         member.joined = true;
         member.parent = Some(n(1));
         member.neighbor_stress.insert(n(1), 1.0); // parent busier
-        let mut ctx = MockCtx {
-            id: 2,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(2));
         let q = QueryPayload {
             joiner: n(9),
             source: n(1),
@@ -545,10 +501,7 @@ mod tests {
         member.joined = true;
         member.parent = Some(n(1));
         member.neighbor_stress.insert(n(1), 0.0); // parent looks better...
-        let mut ctx = MockCtx {
-            id: 2,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(2));
         let q = QueryPayload {
             joiner: n(9),
             source: n(1),
@@ -562,10 +515,7 @@ mod tests {
     #[test]
     fn join_flow_end_to_end_at_message_level() {
         let mut joiner = TreeNode::new(TreeVariant::Random, 1, 100.0, 1024);
-        let mut ctx = MockCtx {
-            id: 9,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(9));
         let join = JoinPayload {
             contact: n(1),
             source: n(1),
@@ -574,8 +524,8 @@ mod tests {
             &mut ctx,
             Msg::new(MsgType::SJoin, n(99), 1, 0, join.encode()),
         );
-        assert_eq!(ctx.sent[0].0.ty(), MsgType::SQuery);
-        assert_eq!(ctx.sent[0].1, n(1));
+        assert_eq!(ctx.staged.sends[0].0.ty(), MsgType::SQuery);
+        assert_eq!(ctx.staged.sends[0].1, n(1));
         // Ack arrives; the joiner is now attached.
         joiner.on_message(&mut ctx, Msg::control(MsgType::SQueryAck, n(1), 1));
         assert_eq!(joiner.parent(), Some(n(1)));
@@ -586,14 +536,11 @@ mod tests {
     fn data_is_forwarded_to_children_only_for_own_app() {
         let mut node = TreeNode::new(TreeVariant::Random, 7, 100.0, 64);
         node.children.insert(n(5));
-        let mut ctx = MockCtx {
-            id: 2,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(2));
         node.on_message(&mut ctx, Msg::data(n(1), 7, 0, vec![0u8; 8]));
         node.on_message(&mut ctx, Msg::data(n(1), 8, 0, vec![0u8; 8]));
-        assert_eq!(ctx.sent.len(), 1);
-        assert_eq!(ctx.sent[0].1, n(5));
+        assert_eq!(ctx.staged.sends.len(), 1);
+        assert_eq!(ctx.staged.sends[0].1, n(5));
     }
 
     #[test]
@@ -602,10 +549,7 @@ mod tests {
         node.parent = Some(n(1));
         node.children.insert(n(5));
         node.neighbor_stress.insert(n(1), 1.0);
-        let mut ctx = MockCtx {
-            id: 2,
-            ..Default::default()
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(2));
         node.on_message(&mut ctx, Msg::control(MsgType::NeighborFailed, n(1), 1));
         assert_eq!(node.parent(), None);
         assert!(node.children.contains(&n(5)), "children unaffected");

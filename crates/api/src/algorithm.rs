@@ -145,45 +145,8 @@ pub trait Algorithm: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecordingCtx;
     use ioverlay_message::MsgType;
-
-    /// A minimal mock runtime to show the trait is implementable and
-    /// object-safe, and to pin the default-method behavior.
-    struct MockCtx {
-        id: NodeId,
-        sent: Vec<(Msg, NodeId)>,
-        timers: Vec<(Nanos, TimerToken)>,
-    }
-
-    impl Context for MockCtx {
-        fn local_id(&self) -> NodeId {
-            self.id
-        }
-        fn now(&self) -> Nanos {
-            42
-        }
-        fn send(&mut self, msg: Msg, dest: NodeId) {
-            self.sent.push((msg, dest));
-        }
-        fn send_to_observer(&mut self, _msg: Msg) {}
-        fn set_timer(&mut self, delay: Nanos, token: TimerToken) {
-            self.timers.push((delay, token));
-        }
-        fn backlog(&self, _dest: NodeId) -> Option<usize> {
-            Some(0)
-        }
-        fn buffer_capacity(&self) -> usize {
-            10
-        }
-        fn probe_rtt(&mut self, _peer: NodeId) {}
-        fn close_link(&mut self, _peer: NodeId) {}
-        fn observer(&self) -> Option<NodeId> {
-            None
-        }
-        fn random_u64(&mut self) -> u64 {
-            4 // chosen by fair dice roll
-        }
-    }
 
     /// Echoes data messages back where they came from.
     struct Echo;
@@ -202,21 +165,17 @@ mod tests {
 
     #[test]
     fn algorithm_is_object_safe_and_reactive() {
-        let mut ctx = MockCtx {
-            id: NodeId::loopback(1),
-            sent: Vec::new(),
-            timers: Vec::new(),
-        };
+        let mut ctx = RecordingCtx::new(NodeId::loopback(1));
         let mut alg: Box<dyn Algorithm> = Box::new(Echo);
         alg.on_start(&mut ctx);
         let origin = NodeId::loopback(2);
         alg.on_message(&mut ctx, Msg::data(origin, 1, 0, &b"x"[..]));
         alg.on_message(&mut ctx, Msg::control(MsgType::Request, origin, 1));
-        assert_eq!(ctx.sent.len(), 1, "only data is echoed");
-        assert_eq!(ctx.sent[0].1, origin);
+        assert_eq!(ctx.staged.sends.len(), 1, "only data is echoed");
+        assert_eq!(ctx.staged.sends[0].1, origin);
         assert_eq!(alg.name(), "echo");
         assert_eq!(alg.status(), serde_json::Value::Null);
         alg.on_timer(&mut ctx, 9); // default: no-op
-        assert!(ctx.timers.is_empty());
+        assert!(ctx.staged.timers.is_empty());
     }
 }

@@ -25,19 +25,25 @@
 //! (`ioverlay-engine`) and the deterministic simulator
 //! (`ioverlay-simnet`) — drive implementations of [`Algorithm`] through
 //! [`Context`], so a protocol written once runs unchanged on localhost
-//! sockets and in simulated wide-area experiments.
+//! sockets and in simulated wide-area experiments. What the two do
+//! around each callback — the per-application route table behind the
+//! `BrokenSource` domino, the staged effects, the origin trace sampler —
+//! is written once here ([`AppRoutes`], [`StagedEffects`],
+//! [`TraceSampler`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod algorithm;
 mod events;
+mod switch;
 
 pub use algorithm::{Algorithm, Context, TimerToken};
 pub use events::{
     BandwidthScope, BootReplyPayload, LinkDirection, SetBandwidthPayload, StatusReport,
     StatusRequestPayload, ThroughputPayload,
 };
+pub use switch::{AppRoute, AppRoutes, RecordingCtx, StagedEffects, TraceSampler};
 
 pub use ioverlay_message::{ControlParams, Msg, MsgType, NodeId, TraceContext};
 pub use ioverlay_telemetry::{

@@ -2,32 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use ioverlay_api::{Context, Msg, Nanos, NodeId, TimerToken};
+use ioverlay_api::{Context, Msg, Nanos, NodeId, StagedEffects, TimerToken};
 use ioverlay_telemetry::{NodeTelemetry, TelemetrySnapshot};
 
 use crate::peer::SenderLink;
-
-/// Effects staged by an algorithm during one callback; the engine thread
-/// applies them after the callback returns. This keeps the algorithm
-/// strictly reactive and single-threaded, as the paper requires.
-///
-/// One instance lives in the engine state for the node's lifetime: it is
-/// lent to each callback's context and drained — never dropped — when
-/// its effects are applied, so a forwarded message allocates nothing
-/// here once the vectors have grown to the callback's fan-out.
-#[derive(Debug, Default)]
-pub(crate) struct StagedEffects {
-    pub sends: Vec<(Msg, NodeId)>,
-    /// Staged sends per destination, maintained incrementally so that
-    /// `Context::backlog` costs O(#destinations) instead of scanning
-    /// every staged send — a pump emitting a whole buffer's worth in one
-    /// callback would otherwise go quadratic.
-    pub send_counts: Vec<(NodeId, usize)>,
-    pub observer_msgs: Vec<Msg>,
-    pub timers: Vec<(Nanos, TimerToken)>,
-    pub probes: Vec<NodeId>,
-    pub closes: Vec<NodeId>,
-}
 
 /// A read-only view of the node plus a staging area, implementing
 /// [`Context`] for the real engine.
@@ -57,16 +35,7 @@ impl Context for EngineCtx<'_> {
     }
 
     fn send(&mut self, msg: Msg, dest: NodeId) {
-        self.staged.sends.push((msg, dest));
-        match self
-            .staged
-            .send_counts
-            .iter_mut()
-            .find(|(d, _)| *d == dest)
-        {
-            Some((_, n)) => *n += 1,
-            None => self.staged.send_counts.push((dest, 1)),
-        }
+        self.staged.stage_send(msg, dest);
     }
 
     fn send_to_observer(&mut self, msg: Msg) {
@@ -78,17 +47,8 @@ impl Context for EngineCtx<'_> {
     }
 
     fn backlog(&self, dest: NodeId) -> Option<usize> {
-        let staged = self
-            .staged
-            .send_counts
-            .iter()
-            .find(|(d, _)| *d == dest)
-            .map_or(0, |(_, n)| *n);
-        match self.senders.get(&dest) {
-            Some(link) => Some(link.depth() + staged),
-            None if staged > 0 => Some(staged),
-            None => None,
-        }
+        let depth = self.senders.get(&dest).map(SenderLink::depth);
+        self.staged.backlog(dest, depth)
     }
 
     fn buffer_capacity(&self) -> usize {

@@ -1,6 +1,6 @@
 //! The engine thread: control polling, switching, timers, measurement.
 
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::io::{BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use crate::sync::atomic::{AtomicBool, Ordering};
@@ -10,8 +10,9 @@ use std::time::Duration;
 
 use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
 use ioverlay_api::{
-    Algorithm, AppId, BandwidthScope, ControlParams, LinkDirection, Msg, MsgType, Nanos, NodeId,
-    SetBandwidthPayload, StatusReport, StatusRequestPayload, ThroughputPayload, TimerToken,
+    Algorithm, AppId, AppRoutes, BandwidthScope, ControlParams, LinkDirection, Msg, MsgType, Nanos,
+    NodeId, SetBandwidthPayload, StagedEffects, StatusReport, StatusRequestPayload,
+    ThroughputPayload, TimerToken, TraceSampler,
 };
 use ioverlay_message::{read_msg, write_msg};
 use ioverlay_telemetry::{scrape, NodeTelemetry, SeriesBatch, SpanBatch, SpanStage};
@@ -24,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{EngineConfig, IoBackend};
-use crate::ctx::{EngineCtx, StagedEffects};
+use crate::ctx::EngineCtx;
 use crate::link::LinkEnv;
 use crate::peer::{
     connect_to_peer, run_receiver, run_sender, ControlEvent, ReceiverLink, SenderLink,
@@ -94,8 +95,9 @@ pub(crate) struct EngineState {
     pub local_inbox: VecDeque<Msg>,
     pub timers: BinaryHeap<std::cmp::Reverse<(Nanos, u64, TimerToken)>>,
     pub timer_seq: u64,
-    pub app_upstreams: HashMap<AppId, BTreeSet<NodeId>>,
-    pub app_downstreams: HashMap<AppId, BTreeSet<NodeId>>,
+    /// Who feeds each application here and whom it feeds: the
+    /// `BrokenSource` domino's memory.
+    pub routes: AppRoutes,
     pub rng: StdRng,
     pub switched: u64,
     pub running: bool,
@@ -128,9 +130,9 @@ pub(crate) struct EngineState {
     /// Node-local metrics registry, shared with every socket thread and
     /// the control listener.
     pub tel: Arc<NodeTelemetry>,
-    /// Locally originated `Data` messages seen by the tracing sampler;
-    /// every `config.trace_sample`-th one starts a trace.
-    pub trace_count: u64,
+    /// Every `config.trace_sample`-th locally originated `Data` message
+    /// starts a trace.
+    pub sampler: TraceSampler,
     /// Span-ring high-watermark: spans with `idx` below this were
     /// already piggybacked to the observer on a previous status report.
     pub spans_reported: u64,
@@ -185,8 +187,7 @@ impl EngineState {
             local_inbox: VecDeque::new(),
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            app_upstreams: HashMap::new(),
-            app_downstreams: HashMap::new(),
+            routes: AppRoutes::default(),
             rng: StdRng::seed_from_u64(seed),
             switched: 0,
             running: true,
@@ -202,7 +203,7 @@ impl EngineState {
             app_runs: Vec::new(),
             poison_reported: 0,
             tel,
-            trace_count: 0,
+            sampler: TraceSampler::default(),
             spans_reported: 0,
             series_reported: 0,
             flow_stage: Vec::new(),
@@ -285,24 +286,12 @@ impl EngineState {
         // dispatches flush once per switch quantum, local dispatches
         // flush at the end of this call (so a pump emitting hundreds of
         // messages in one callback still pays one lock per destination).
-        staged.send_counts.clear();
-        for (mut msg, dest) in staged.sends.drain(..) {
-            // Tracing sampler: every `trace_sample`-th locally
-            // originated data message starts a trace here, at the one
+        for (mut msg, dest) in staged.drain_sends() {
+            // Locally originated data starts its traces here, at the one
             // point all source sends funnel through.
-            if from_upstream.is_none()
-                && self.config.trace_sample > 0
-                && msg.ty() == MsgType::Data
-                && msg.trace().is_none()
-            {
-                self.trace_count += 1;
-                if self
-                    .trace_count
-                    .is_multiple_of(u64::from(self.config.trace_sample))
-                {
-                    let now = self.now();
-                    self.tel.start_trace(self.id, &mut msg, now);
-                }
+            if from_upstream.is_none() && self.sampler.sample(self.config.trace_sample, &msg) {
+                let now = self.now();
+                self.tel.start_trace(self.id, &mut msg, now);
             }
             self.send_stage.push(dest, msg);
         }
@@ -380,7 +369,7 @@ impl EngineState {
             }
         };
         if accepted && is_data {
-            self.app_downstreams.entry(app).or_default().insert(dest);
+            self.routes.note_downstream(app, dest);
         }
         accepted
     }
@@ -593,7 +582,7 @@ impl EngineState {
         let registered = if up.is_some() { accepted } else { usize::MAX };
         for &(first, app) in &self.app_runs {
             if first < registered {
-                self.app_downstreams.entry(app).or_default().insert(dest);
+                self.routes.note_downstream(app, dest);
             }
         }
         if msgs.is_empty() {
@@ -666,7 +655,7 @@ impl EngineState {
                     last_app = None;
                 } else if last_app != Some(msg.app()) {
                     last_app = Some(msg.app());
-                    self.app_upstreams.entry(msg.app()).or_default().insert(up);
+                    self.routes.note_upstream(msg.app(), up);
                 }
                 // Sampled messages get a `Switch` span around their
                 // dispatch; the hop span id rides in the carried context
@@ -812,20 +801,13 @@ impl EngineState {
     // ------------------------------------------------------------------
 
     fn domino_broken_source(&mut self, app: AppId, gone_upstream: NodeId) {
-        let ups = self.app_upstreams.entry(app).or_default();
-        ups.remove(&gone_upstream);
-        if !ups.is_empty() {
-            return;
-        }
+        let Some(owed) = self.routes.drop_upstream(app, gone_upstream) else {
+            return; // another upstream still feeds `app`, or this one never did
+        };
         if self.tel.enabled() {
             self.tel.record_domino_teardown(self.now(), app);
         }
-        let downstreams: Vec<NodeId> = self
-            .app_downstreams
-            .remove(&app)
-            .map(|s| s.into_iter().collect())
-            .unwrap_or_default();
-        for dest in downstreams {
+        for dest in owed {
             let broken = Msg::control(MsgType::BrokenSource, self.id, app);
             let _ = self.enqueue_send(dest, broken, None);
         }
@@ -844,12 +826,7 @@ impl EngineState {
         if self.tel.enabled() {
             self.tel.record_disconnect(self.now(), peer);
         }
-        let mut broken_apps = Vec::new();
-        for (app, ups) in self.app_upstreams.iter_mut() {
-            if ups.remove(&peer) && ups.is_empty() {
-                broken_apps.push(*app);
-            }
-        }
+        let broken_apps = self.routes.forget_upstream(peer);
         self.local_inbox
             .push_back(Msg::control(MsgType::NeighborFailed, peer, 0));
         if self.tel.enabled() {
@@ -858,12 +835,7 @@ impl EngineState {
             }
         }
         for app in broken_apps {
-            let downstreams: Vec<NodeId> = self
-                .app_downstreams
-                .remove(&app)
-                .map(|s| s.into_iter().collect())
-                .unwrap_or_default();
-            for dest in downstreams {
+            for dest in self.routes.take_downstreams(app) {
                 let broken = Msg::control(MsgType::BrokenSource, self.id, app);
                 let _ = self.enqueue_send(dest, broken, None);
             }
@@ -884,9 +856,7 @@ impl EngineState {
         }
         self.link_buckets.remove(&peer);
         self.send_stage.by_dest.remove(&peer);
-        for set in self.app_downstreams.values_mut() {
-            set.remove(&peer);
-        }
+        self.routes.forget_downstream(peer);
         if notify_alg {
             self.local_inbox
                 .push_back(Msg::control(MsgType::NeighborFailed, peer, 0));
@@ -1672,13 +1642,18 @@ mod tests {
         assert_eq!((state.timers.len(), state.probes.len()), (2, 2));
     }
 
-    /// The forwarded-message path allocates nothing in steady state: the
-    /// staged-effects scratch and the per-destination stage vectors are
-    /// the same buffers, at the same capacity, a thousand quanta later.
-    #[test]
-    fn a_thousand_quanta_leave_the_dispatch_scratch_where_it_was() {
-        let (up, dest) = (NodeId::loopback(2), NodeId::loopback(3));
-        let alg = ioverlay_algorithms::StaticForwarder::new().route(1, vec![dest]);
+    /// A node forwarding `apps` from `up` to `dest` over detached links:
+    /// the state, `up`'s receive buffer and `dest`'s send buffer.
+    fn forwarding_state(
+        up: NodeId,
+        dest: NodeId,
+        apps: &[u32],
+    ) -> (EngineState, CircularQueue<Msg>, CircularQueue<Msg>) {
+        let alg = apps
+            .iter()
+            .fold(ioverlay_algorithms::StaticForwarder::new(), |f, &app| {
+                f.route(app, vec![dest])
+            });
         let mut state = EngineState::new(
             NodeId::loopback(9_997),
             EngineConfig::default(),
@@ -1703,6 +1678,16 @@ mod tests {
             .senders
             .insert(dest, SenderLink::detached(SWITCH_QUANTUM));
         let outbound = state.senders[&dest].queue.clone();
+        (state, inbound, outbound)
+    }
+
+    /// The forwarded-message path allocates nothing in steady state: the
+    /// staged-effects scratch and the per-destination stage vectors are
+    /// the same buffers, at the same capacity, a thousand quanta later.
+    #[test]
+    fn a_thousand_quanta_leave_the_dispatch_scratch_where_it_was() {
+        let (up, dest) = (NodeId::loopback(2), NodeId::loopback(3));
+        let (mut state, inbound, outbound) = forwarding_state(up, dest, &[1]);
         let payload = bytes::Bytes::from(vec![7u8; 64]);
         let mut sink = Vec::new();
         let mut quantum = |state: &mut EngineState, round: u32| {
@@ -1735,8 +1720,46 @@ mod tests {
         }
         assert_eq!(fingerprint(&state), before);
         assert_eq!(state.switched, 1_001 * SWITCH_QUANTUM as u64);
-        assert!(state.app_upstreams[&1].contains(&up));
-        assert!(state.app_downstreams[&1].contains(&dest));
+        let route = ioverlay_api::AppRoute {
+            app: 1,
+            ups: vec![up],
+            downs: vec![dest],
+        };
+        assert!(state.routes.iter().eq([&route]));
+    }
+
+    /// One upstream feeds eight applications and fails: the domino
+    /// reaches the downstream and the local inbox in application order,
+    /// whatever order the applications' data arrived in.
+    #[test]
+    fn a_failed_upstream_breaks_its_applications_in_app_order() {
+        let (up, dest) = (NodeId::loopback(2), NodeId::loopback(3));
+        let apps = [7u32, 3, 5, 1, 0, 6, 2, 4];
+        let (mut state, inbound, outbound) = forwarding_state(up, dest, &apps);
+        for (seq, &app) in apps.iter().enumerate() {
+            inbound
+                .push(Msg::data(up, app, seq as u32, &b"x"[..]))
+                .unwrap();
+        }
+        assert_eq!(state.switch_round(1024), apps.len());
+        let mut sink = Vec::new();
+        assert_eq!(outbound.pop_batch(usize::MAX, &mut sink), apps.len());
+
+        state.handle_upstream_failed(up);
+        sink.clear();
+        outbound.pop_batch(usize::MAX, &mut sink);
+        let downstream: Vec<(MsgType, u32)> = sink.iter().map(|m| (m.ty(), m.app())).collect();
+        let expected: Vec<(MsgType, u32)> =
+            (0..8).map(|app| (MsgType::BrokenSource, app)).collect();
+        assert_eq!(downstream, expected, "the downstream hears in app order");
+        let local: Vec<(MsgType, u32)> = state
+            .local_inbox
+            .iter()
+            .map(|m| (m.ty(), m.app()))
+            .filter(|(ty, _)| *ty == MsgType::BrokenSource)
+            .collect();
+        assert_eq!(local, expected, "the algorithm hears in app order");
+        assert_eq!(state.tel.snapshot().counter("domino_teardowns"), Some(8));
     }
 
     #[test]
@@ -1755,18 +1778,14 @@ mod tests {
         let (mut state, seen) = state();
         let upstream = NodeId::loopback(2);
         // Pretend app 5 flowed in from `upstream` only.
-        state.app_upstreams.entry(5).or_default().insert(upstream);
-        state
-            .app_downstreams
-            .entry(5)
-            .or_default()
-            .insert(NodeId::loopback(1)); // unreachable downstream
+        state.routes.note_upstream(5, upstream);
+        state.routes.note_downstream(5, NodeId::loopback(1)); // unreachable downstream
         state.dispatch_to_algorithm(
             Some(upstream),
             0,
             Msg::control(MsgType::BrokenSource, upstream, 5),
         );
-        assert!(!state.app_downstreams.contains_key(&5), "routes cleared");
+        assert_eq!(state.routes.iter().count(), 0, "routes cleared");
         // The algorithm still saw the BrokenSource itself.
         assert!(seen.lock().iter().any(|m| m.ty() == MsgType::BrokenSource));
     }

@@ -2,7 +2,9 @@
 
 use std::collections::VecDeque;
 
-use ioverlay_api::{Algorithm, AppId, Context, Msg, Nanos, NodeId, TimerToken};
+use ioverlay_api::{
+    Algorithm, AppRoutes, Context, Msg, Nanos, NodeId, StagedEffects, TimerToken, TraceSampler,
+};
 use ioverlay_ratelimit::{BucketId, NodeBandwidth};
 use ioverlay_telemetry::{NodeTelemetry, TelemetrySnapshot};
 use rand::rngs::StdRng;
@@ -34,34 +36,6 @@ pub(crate) struct InLink {
 pub(crate) struct OutLink {
     pub peer: NodeId,
     pub link: LinkIdx,
-}
-
-/// Data-plane routing memory of one application at one node, used for
-/// the `BrokenSource` domino teardown: who feeds it, whom it feeds. Both
-/// lists are sorted, so the domino goes out in address order.
-#[derive(Debug)]
-pub(crate) struct AppRoute {
-    pub app: AppId,
-    pub ups: Vec<NodeId>,
-    pub downs: Vec<NodeId>,
-}
-
-/// Inserts into a sorted list unless present.
-fn insert_sorted(list: &mut Vec<NodeId>, id: NodeId) {
-    if let Err(pos) = list.binary_search(&id) {
-        list.insert(pos, id);
-    }
-}
-
-/// Removes from a sorted list; whether it was present.
-pub(crate) fn remove_sorted(list: &mut Vec<NodeId>, id: NodeId) -> bool {
-    match list.binary_search(&id) {
-        Ok(pos) => {
-            list.remove(pos);
-            true
-        }
-        Err(_) => false,
-    }
 }
 
 /// One virtualized overlay node inside the simulator.
@@ -108,7 +82,7 @@ pub(crate) struct SimNode {
     /// `&mut self` and the context the rest of the node.
     pub alg: Option<Box<dyn Algorithm>>,
     /// Per-application routing memory, sorted by application.
-    pub routes: Vec<AppRoute>,
+    pub routes: AppRoutes,
     pub id: NodeId,
     // -- third: sending --
     /// Links from this node with an open sender half.
@@ -117,8 +91,8 @@ pub(crate) struct SimNode {
     pub up_bucket: BucketId,
     pub down_bucket: BucketId,
     pub total_bucket: BucketId,
-    /// Locally originated data messages seen by the trace sampler.
-    pub trace_count: u64,
+    /// Every Nth locally originated data message starts a trace.
+    pub sampler: TraceSampler,
     /// Rotates the blocked-fanout retry order (fairness between
     /// upstreams competing for one freed sender slot).
     pub retry_rotor: u64,
@@ -229,53 +203,6 @@ impl SimNode {
         })
     }
 
-    fn route_mut(&mut self, app: AppId) -> &mut AppRoute {
-        let pos = match self.routes.binary_search_by_key(&app, |r| r.app) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                let route = AppRoute {
-                    app,
-                    ups: Vec::new(),
-                    downs: Vec::new(),
-                };
-                self.routes.insert(pos, route);
-                pos
-            }
-        };
-        &mut self.routes[pos]
-    }
-
-    /// Registers where data for `app` comes from / goes to.
-    pub(crate) fn note_app_upstream(&mut self, app: AppId, upstream: NodeId) {
-        insert_sorted(&mut self.route_mut(app).ups, upstream);
-    }
-
-    pub(crate) fn note_app_downstream(&mut self, app: AppId, downstream: NodeId) {
-        insert_sorted(&mut self.route_mut(app).downs, downstream);
-    }
-
-    /// Forgets `upstream` as a feeder of `app`. If that leaves the
-    /// application without any, its downstreams are forgotten too and
-    /// returned: they are owed a `BrokenSource`.
-    pub(crate) fn drop_app_upstream(&mut self, app: AppId, upstream: NodeId) -> Vec<NodeId> {
-        let route = self.route_mut(app);
-        remove_sorted(&mut route.ups, upstream);
-        if route.ups.is_empty() {
-            std::mem::take(&mut route.downs)
-        } else {
-            Vec::new() // another upstream still feeds this app
-        }
-    }
-
-    /// Forgets whom `app` feeds and returns them: they are owed a
-    /// `BrokenSource`.
-    pub(crate) fn take_app_downstreams(&mut self, app: AppId) -> Vec<NodeId> {
-        match self.routes.binary_search_by_key(&app, |r| r.app) {
-            Ok(pos) => std::mem::take(&mut self.routes[pos].downs),
-            Err(_) => Vec::new(),
-        }
-    }
-
     #[allow(clippy::too_many_arguments)] // node construction takes its full wiring
     pub(crate) fn seeded(
         id: NodeId,
@@ -304,40 +231,14 @@ impl SimNode {
             down_bucket: down,
             total_bucket: total,
             bandwidth,
-            routes: Vec::new(),
+            routes: AppRoutes::default(),
             observer: None,
             rng: StdRng::seed_from_u64(hasher_seed),
             switched: 0,
             retry_rotor: 0,
-            trace_count: 0,
+            sampler: TraceSampler::default(),
             tel: NodeTelemetry::default(),
         }
-    }
-}
-
-/// Effects staged by an algorithm during one callback, applied by the
-/// simulator after the callback returns. The simulator owns one and
-/// reuses it for every callback.
-#[derive(Debug, Default)]
-pub(crate) struct StagedEffects {
-    pub sends: Vec<(Msg, NodeId)>,
-    /// How many of `sends` go to each destination, so `backlog` costs
-    /// O(destinations) and not O(sends).
-    pub send_counts: Vec<(NodeId, usize)>,
-    pub observer_msgs: Vec<Msg>,
-    pub timers: Vec<(Nanos, TimerToken)>,
-    pub probes: Vec<NodeId>,
-    pub closes: Vec<NodeId>,
-}
-
-impl StagedEffects {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sends.is_empty()
-            && self.send_counts.is_empty()
-            && self.observer_msgs.is_empty()
-            && self.timers.is_empty()
-            && self.probes.is_empty()
-            && self.closes.is_empty()
     }
 }
 
@@ -361,11 +262,7 @@ impl Context for SimCtx<'_> {
     }
 
     fn send(&mut self, msg: Msg, dest: NodeId) {
-        self.staged.sends.push((msg, dest));
-        match self.staged.send_counts.iter_mut().find(|(d, _)| *d == dest) {
-            Some((_, n)) => *n += 1,
-            None => self.staged.send_counts.push((dest, 1)),
-        }
+        self.staged.stage_send(msg, dest);
     }
 
     fn send_to_observer(&mut self, msg: Msg) {
@@ -377,20 +274,8 @@ impl Context for SimCtx<'_> {
     }
 
     fn backlog(&self, dest: NodeId) -> Option<usize> {
-        // Count sends staged during this very callback too, so a source
-        // looping "send until the buffer is full" observes its own
-        // queued-but-not-yet-applied traffic.
-        let staged = self
-            .staged
-            .send_counts
-            .iter()
-            .find(|(d, _)| *d == dest)
-            .map_or(0, |(_, n)| *n);
-        match self.node.out_link(dest) {
-            Some(link) => Some(self.links[link.ix()].depth() + staged),
-            None if staged > 0 => Some(staged),
-            None => None,
-        }
+        let depth = self.node.out_link(dest).map(|l| self.links[l.ix()].depth());
+        self.staged.backlog(dest, depth)
     }
 
     fn buffer_capacity(&self) -> usize {
@@ -528,25 +413,26 @@ mod tests {
         let mut n = node(1);
         let (up, up2) = (NodeId::loopback(2), NodeId::loopback(7));
         let (down, down2) = (NodeId::loopback(3), NodeId::loopback(4));
-        n.note_app_upstream(7, up);
-        n.note_app_upstream(7, up);
-        n.note_app_upstream(7, up2);
-        n.note_app_downstream(7, down2);
-        n.note_app_downstream(7, down);
-        n.note_app_downstream(3, down);
+        n.routes.note_upstream(7, up);
+        n.routes.note_upstream(7, up);
+        n.routes.note_upstream(7, up2);
+        n.routes.note_downstream(7, down2);
+        n.routes.note_downstream(7, down);
+        n.routes.note_downstream(3, down);
+        let routes: Vec<_> = n.routes.iter().map(|r| (r.app, &r.ups[..])).collect();
+        assert_eq!(routes, vec![(3, &[][..]), (7, &[up, up2][..])]);
+        assert_eq!(n.routes.drop_upstream(7, up), None, "still fed by up2");
         assert_eq!(
-            n.routes.iter().map(|r| r.app).collect::<Vec<_>>(),
-            vec![3, 7]
-        );
-        assert_eq!(n.routes[1].ups, vec![up, up2]);
-        assert!(n.drop_app_upstream(7, up).is_empty(), "still fed by up2");
-        assert_eq!(
-            n.drop_app_upstream(7, up2),
-            vec![down, down2],
+            n.routes.drop_upstream(7, up2),
+            Some(vec![down, down2]),
             "address order"
         );
-        assert!(n.routes[1].downs.is_empty());
-        assert_eq!(n.drop_app_upstream(9, up), Vec::new(), "unknown app");
+        assert_eq!(n.routes.drop_upstream(9, up), None, "unknown app");
+        assert_eq!(
+            n.routes.iter().map(|r| r.app).collect::<Vec<_>>(),
+            vec![3],
+            "a torn-down app leaves no entry, an unknown one makes none"
+        );
     }
 
     #[test]

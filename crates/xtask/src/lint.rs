@@ -61,6 +61,15 @@
 //!   for itself when the engine needs waking re-creates the race in
 //!   which the buffer is drained between its look and its push, and the
 //!   wake-up is lost. Matching the events (`=>` arms, `if let`) is fine.
+//! * **R9 `one-switch-state`** — the switch state both runtimes share
+//!   (the per-application route table behind the `BrokenSource` domino
+//!   and a callback's staged effects) lives once, in
+//!   `crates/api/src/switch.rs`. A `struct StagedEffects`, `struct
+//!   AppRoute` or `struct AppRoutes` anywhere else under `crates/`, or
+//!   the identifiers `app_upstreams` / `app_downstreams` of the engine's
+//!   former second copy, is rejected: two copies of one domino rule
+//!   drift (they already had, in notification order and in what they
+//!   counted).
 //!
 //! All rules skip `#[cfg(test)]` items, `tests/` and `benches/`
 //! directories: test code may sleep, unwrap, and race however it likes.
@@ -181,6 +190,12 @@ const SHARD_BLOCKING_PATTERNS: &[&str] = &[
 /// edge hooks.
 const WAKE_EVENTS: &[&str] = &["ControlEvent::DataAvailable", "ControlEvent::SendSpace"];
 const WAKE_HOOK_FNS: &[&str] = &["wake_on_data", "wake_on_space"];
+
+/// Rule R9: the one home of the shared switch state, the structs only it
+/// may define, and the identifiers of the copy it replaced.
+const SWITCH_STATE_HOME: &str = "crates/api/src/switch.rs";
+const SWITCH_STATE_STRUCTS: &[&str] = &["StagedEffects", "AppRoute", "AppRoutes"];
+const SWITCH_STATE_IDENTS: &[&str] = &["app_upstreams", "app_downstreams"];
 
 /// The waiver marker recognized by R3. Must appear in a comment on the
 /// violating line or one of the three lines above it, followed by a reason.
@@ -440,6 +455,30 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
             }
         }
 
+        // R9: a second copy of the shared switch state.
+        let copied = SWITCH_STATE_STRUCTS
+            .iter()
+            .find(|name| defines_struct(line, name))
+            .map(|name| format!("`struct {name}`"))
+            .or_else(|| {
+                let ident = SWITCH_STATE_IDENTS
+                    .iter()
+                    .find(|i| contains_word(line, i))?;
+                Some(format!("`{ident}`"))
+            });
+        if let Some(what) = copied.filter(|_| rel != SWITCH_STATE_HOME) {
+            out.push(Violation {
+                rule: "one-switch-state",
+                file: rel.clone(),
+                line: lineno,
+                msg: format!(
+                    "{what} outside {SWITCH_STATE_HOME}; both runtimes share one route \
+                     table and one staging area (`AppRoutes`, `StagedEffects`) — use \
+                     them, not a copy"
+                ),
+            });
+        }
+
         // R6: blocking calls on a shard event-loop thread.
         if let Some((_, target)) = SHARD_LOOP_SCOPES.iter().find(|(f, _)| *f == rel.as_str()) {
             if in_shard_scope(&scopes, lineno, target) {
@@ -551,6 +590,18 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
     out
+}
+
+/// Whether `line` declares `struct <name>` (whole word, any visibility).
+fn defines_struct(line: &str, name: &str) -> bool {
+    let words: Vec<&str> = line.split_whitespace().collect();
+    words.windows(2).any(|w| {
+        w[0] == "struct"
+            && w[1]
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                == Some(name)
+    })
 }
 
 /// 1-based line number of byte offset `at`.
@@ -1026,6 +1077,35 @@ fn handle_event(event: ControlEvent) {
         let v = lint_source("crates/engine/src/shard.rs", space);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "wake-from-edge");
+    }
+
+    // The self-test for R9: a driver that grows its own staging area or
+    // route table again is rejected; using the shared ones is not.
+    #[test]
+    fn a_second_copy_of_the_switch_state_is_rejected() {
+        let src = "\
+use ioverlay_api::{AppRoutes, StagedEffects};
+pub(crate) struct StagedEffects {
+    pub sends: Vec<(Msg, NodeId)>,
+}
+struct AppRoute<'a> { app: AppId }
+pub struct AppRoutesView;
+pub(crate) struct EngineState {
+    pub app_upstreams: HashMap<AppId, BTreeSet<NodeId>>,
+    pub routes: AppRoutes,
+    pub staged: StagedEffects,
+}
+// app_downstreams in a comment is prose
+";
+        let v = lint_source("crates/engine/src/engine.rs", src);
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![2, 5, 8], "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "one-switch-state"));
+        assert!(v[0].msg.contains("`struct StagedEffects`"));
+        assert!(v[2].msg.contains("`app_upstreams`"));
+        assert_eq!(lint_source("crates/simnet/src/node.rs", src).len(), 3);
+        // The shared module is their one home.
+        assert!(lint_source("crates/api/src/switch.rs", src).is_empty());
     }
 
     // The acceptance-criterion self-test for R7: a shimmed lock
