@@ -4,7 +4,7 @@
 //! rely on: rate emulation, bounded-buffer back pressure, fanout
 //! head-of-line coupling, failure detection, and the BrokenSource domino.
 
-use ioverlay_api::{Algorithm, Context, Msg, MsgType, NodeId};
+use ioverlay_api::{Algorithm, Context, Msg, MsgType, NodeId, TelemetryEvent};
 use ioverlay_simnet::{NodeBandwidth, Rate, Sim, SimBuilder};
 
 const SEC: u64 = 1_000_000_000;
@@ -318,6 +318,16 @@ fn broken_source_domino_crosses_multiple_hops() {
         seen.contains(&MsgType::BrokenSource),
         "domino never reached D: {seen:?}"
     );
+    // Each node it tore the app down at counts it once, whichever way
+    // the node learnt of the break: B from A's death, C and D from a
+    // `BrokenSource`.
+    for x in [b, c, d] {
+        let tel = sim.status_report(x).unwrap().telemetry.unwrap();
+        assert_eq!(tel.counter("domino_teardowns"), Some(1), "at {x}");
+        let events = tel.events.iter();
+        let teardowns = events.filter(|e| e.event == TelemetryEvent::DominoTeardown { app: 1 });
+        assert_eq!(teardowns.count(), 1, "at {x}");
+    }
 }
 
 #[test]

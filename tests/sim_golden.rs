@@ -678,5 +678,5 @@ fn tree_construction_sessions() {
         sim.run_until(80 * SEC);
         d.fold(&sim, &ids, &[APP]);
     }
-    d.check("tree_construction_sessions", 0x5876_8caf_d130_a21c, 0x5998_d23f_db7b_0cff);
+    d.check("tree_construction_sessions", 0xe843_1a6f_e31b_b2f2, 0xeb52_bcd6_b2a2_121f);
 }
