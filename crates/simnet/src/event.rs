@@ -2,29 +2,19 @@
 //!
 //! Events carry indices only ([`NodeIdx`], [`LinkIdx`], a [`MsgKey`]);
 //! the message of an `Arrival` or `Inject` waits in a [`MsgStore`] until
-//! the event fires, so queue entries stay 32 bytes whatever the payload.
+//! the event fires, so an event stays 16 bytes whatever the payload.
 //!
-//! The queue has two lanes. Two of every three events are `Process`
-//! events scheduled for the current instant; they go to a FIFO beside
-//! the heap and never pay a sift. Order is still exactly `(time,
-//! insertion sequence)`:
-//!
-//! * every entry of the FIFO is due at the same instant `t`, the
-//!   caller's current time when it was scheduled;
-//! * the caller's time advances only to the time of a popped entry (or,
-//!   with nothing due, past it), and a pop never returns an entry later
-//!   than `t` while the FIFO is non-empty, so the FIFO drains before time
-//!   moves;
-//! * a heap entry due at `t` was scheduled while the caller's time was
-//!   earlier than `t` (otherwise it would be in the FIFO), hence before
-//!   every FIFO entry, hence with a smaller sequence number.
-//!
-//! So "heap while its head is due at `t`, then the FIFO front" pops in
-//! `(time, sequence)` order. The proptest below checks that against a
-//! plain one-heap queue.
+//! The queue is an ordered map from each pending instant to a FIFO of
+//! that instant's events, threaded through one slab. Scheduling appends
+//! to the instant's FIFO and popping takes the front of the earliest one,
+//! so events due at one instant fire in the order they were scheduled,
+//! whether before or during that instant: `(time, insertion sequence)`
+//! order holds by construction. The map holds at most a few hundred
+//! instants, and the slab reuses popped slots, so it stops growing at the
+//! peak population.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use ioverlay_api::{Msg, Nanos, TimerToken};
 
@@ -117,90 +107,90 @@ pub(crate) enum Event {
 
 /// Queue of events ordered by (time, insertion sequence).
 ///
-/// The sequence number makes simultaneous events fire in insertion
-/// order, which keeps runs bit-for-bit deterministic. See the module
-/// docs for the two lanes.
-#[derive(Debug, Default)]
-pub(crate) struct EventQueue {
-    /// Events scheduled for a later instant than the caller's.
-    heap: BinaryHeap<Reverse<Entry>>,
-    /// Events scheduled for the caller's current instant, `lane_at`.
-    lane: VecDeque<Event>,
-    lane_at: Nanos,
-    seq: u64,
-}
-
+/// Events due at the same instant fire in insertion order, which keeps
+/// runs bit-for-bit deterministic. See the module docs.
 #[derive(Debug)]
-struct Entry {
-    at: Nanos,
-    seq: u64,
-    event: Event,
+pub(crate) struct EventQueue {
+    /// Each pending instant's FIFO as `(head, tail)` indices of `slots`.
+    instants: BTreeMap<Nanos, (u32, u32)>,
+    slots: Vec<Slot>,
+    /// First free slot; free slots chain through `next`.
+    free: u32,
+    len: usize,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// A queued event and the next slot of its list: the next event due at
+/// the same instant, or the next free slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    event: Event,
+    next: u32,
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+/// End of a slot list.
+const NIL: u32 = u32::MAX;
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        Self {
+            instants: BTreeMap::new(),
+            slots: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
     }
 }
 
 impl EventQueue {
-    /// Schedules `event` at absolute time `at`; `now` is the caller's
-    /// current time (the time of the last pop, or later) and `at >= now`.
-    pub(crate) fn schedule(&mut self, now: Nanos, at: Nanos, event: Event) {
-        debug_assert!(at >= now, "events are never scheduled in the past");
-        if at == now {
-            debug_assert!(self.lane.is_empty() || self.lane_at == now);
-            self.lane_at = now;
-            self.lane.push_back(event);
+    /// Schedules `event` at absolute time `at`, behind every event
+    /// already due then.
+    pub(crate) fn schedule(&mut self, at: Nanos, event: Event) {
+        let filled = Slot { event, next: NIL };
+        let slot = if self.free == NIL {
+            let slot = u32::try_from(self.slots.len()).expect("fewer than 2^32 pending events");
+            self.slots.push(filled);
+            slot
         } else {
-            let seq = self.seq;
-            self.seq += 1;
-            self.heap.push(Reverse(Entry { at, seq, event }));
+            let slot = self.free;
+            self.free = std::mem::replace(&mut self.slots[slot as usize], filled).next;
+            slot
+        };
+        match self.instants.entry(at) {
+            Entry::Occupied(mut fifo) => {
+                let tail = std::mem::replace(&mut fifo.get_mut().1, slot);
+                self.slots[tail as usize].next = slot;
+            }
+            Entry::Vacant(fifo) => {
+                fifo.insert((slot, slot));
+            }
         }
-    }
-
-    /// Whether the next pop comes from the heap.
-    fn heap_first(&self) -> bool {
-        match self.heap.peek() {
-            Some(Reverse(head)) => self.lane.is_empty() || head.at <= self.lane_at,
-            None => false,
-        }
+        self.len += 1;
     }
 
     /// Time of the next event, if any.
     pub(crate) fn peek_time(&self) -> Option<Nanos> {
-        if self.heap_first() {
-            self.heap.peek().map(|Reverse(e)| e.at)
-        } else if self.lane.is_empty() {
-            None
-        } else {
-            Some(self.lane_at)
-        }
+        self.instants.first_key_value().map(|(&at, _)| at)
     }
 
     /// Pops the next event.
     pub(crate) fn pop(&mut self) -> Option<(Nanos, Event)> {
-        if self.heap_first() {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        let mut fifo = self.instants.first_entry()?;
+        let at = *fifo.key();
+        let (head, tail) = *fifo.get();
+        let slot = &mut self.slots[head as usize];
+        if head == tail {
+            fifo.remove();
         } else {
-            self.lane.pop_front().map(|event| (self.lane_at, event))
+            fifo.get_mut().0 = slot.next;
         }
+        slot.next = std::mem::replace(&mut self.free, head);
+        self.len -= 1;
+        Some((at, slot.event))
     }
 
-    /// Number of pending events, both lanes.
+    /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.len
     }
 }
 
@@ -208,14 +198,23 @@ impl EventQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    fn timer(token: TimerToken) -> Event {
+        Event::Timer {
+            node: NodeIdx(0),
+            token,
+        }
+    }
 
     #[test]
     fn pops_in_time_then_insertion_order() {
         let mut q = EventQueue::default();
         let n = NodeIdx(1);
-        q.schedule(0, 10, Event::Process(n));
-        q.schedule(0, 5, Event::MeasureTick(n));
-        q.schedule(0, 10, Event::KillNode(n));
+        q.schedule(10, Event::Process(n));
+        q.schedule(5, Event::MeasureTick(n));
+        q.schedule(10, Event::KillNode(n));
         assert_eq!(q.len(), 3);
         assert_eq!(q.peek_time(), Some(5));
         let (t1, e1) = q.pop().unwrap();
@@ -232,41 +231,45 @@ mod tests {
     #[test]
     fn same_instant_events_wait_behind_earlier_ones_due_now() {
         let mut q = EventQueue::default();
-        q.schedule(
-            0,
-            7,
-            Event::Timer {
-                node: NodeIdx(0),
-                token: 1,
-            },
-        );
-        q.schedule(
-            0,
-            7,
-            Event::Timer {
-                node: NodeIdx(0),
-                token: 2,
-            },
-        );
+        q.schedule(7, timer(1));
+        q.schedule(7, timer(2));
         assert_eq!(q.pop().map(|(t, _)| t), Some(7));
         // Scheduled for "now" while another event due now is still queued.
-        q.schedule(7, 7, Event::Process(NodeIdx(3)));
-        q.schedule(7, 9, Event::Process(NodeIdx(4)));
+        q.schedule(7, Event::Process(NodeIdx(3)));
+        q.schedule(9, Event::Process(NodeIdx(4)));
         assert_eq!(q.len(), 3);
-        assert_eq!(
-            q.pop(),
-            Some((
-                7,
-                Event::Timer {
-                    node: NodeIdx(0),
-                    token: 2
-                }
-            ))
-        );
+        assert_eq!(q.pop(), Some((7, timer(2))));
         assert_eq!(q.pop(), Some((7, Event::Process(NodeIdx(3)))));
         assert_eq!(q.peek_time(), Some(9));
         assert_eq!(q.pop(), Some((9, Event::Process(NodeIdx(4)))));
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn a_bounded_population_stops_growing_the_slab() {
+        // 500 events spread over 50 instants; each round pops one and
+        // schedules one a pseudo-random 1..=50 ticks later, as a
+        // simulator in steady state does.
+        let mut q = EventQueue::default();
+        for i in 0..500 {
+            q.schedule(i % 50, timer(i));
+        }
+        let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut round = |q: &mut EventQueue| {
+            let (now, event) = q.pop().expect("the population stays at 500");
+            rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            q.schedule(now + 1 + (rng >> 58) % 50, event);
+        };
+        for _ in 0..100 {
+            round(&mut q);
+        }
+        let (slots, capacity) = (q.slots.len(), q.slots.capacity());
+        for _ in 0..10_000 {
+            round(&mut q);
+        }
+        assert_eq!(q.len(), 500);
+        assert_eq!(q.slots.len(), slots, "popped slots are reused");
+        assert_eq!(q.slots.capacity(), capacity);
     }
 
     #[test]
@@ -282,7 +285,8 @@ mod tests {
         assert_eq!(store.take(c).seq(), 2);
     }
 
-    /// The queue this one replaced: one heap ordered by `(at, seq)`.
+    /// The queue this one replaced, reduced to its order: one heap of
+    /// `(at, seq)`.
     #[derive(Default)]
     struct OneHeap {
         heap: BinaryHeap<Reverse<(Nanos, u64)>>,
@@ -298,35 +302,53 @@ mod tests {
         }
     }
 
+    /// One step of the order proptest.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `n` events due at the current instant.
+        Now(usize),
+        /// `n` events due `delay` after the current instant (possibly 0).
+        Later(usize, Nanos),
+        /// One event far in the future.
+        Far(Nanos),
+        Pop,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (1usize..4).prop_map(Op::Now),
+            ((1usize..20), (0u64..5)).prop_map(|(n, d)| Op::Later(n, d)),
+            (1u64 << 40..1u64 << 60).prop_map(Op::Far),
+            Just(Op::Pop),
+            Just(Op::Pop),
+        ]
+    }
+
     proptest! {
-        /// Interleaves same-instant schedules, future schedules and pops
-        /// the way the simulator does (time is the time of the last
-        /// pop); both queues must hand out the same events at the same
-        /// times. Each event is tagged with the oracle's sequence number.
+        /// Interleaves same-instant schedules, bursts on one instant,
+        /// far-future schedules and pops the way the simulator does
+        /// (time is the time of the last pop); the queue must hand out
+        /// the events of a plain `(at, seq)` heap at the same times, and
+        /// count the same. Each event is tagged with the oracle's
+        /// sequence number.
         #[test]
-        fn two_lanes_pop_like_one_heap(
-            ops in proptest::collection::vec((0u8..4, 0u64..5), 1..400),
-        ) {
+        fn fifo_per_instant_pops_like_one_heap(ops in proptest::collection::vec(op(), 1..400)) {
             let mut q = EventQueue::default();
             let mut oracle = OneHeap::default();
             let mut now: Nanos = 0;
-            let tagged = |tag: u64| Event::Timer { node: NodeIdx(0), token: tag };
-            for (op, delay) in ops {
+            for op in ops {
+                let mut schedule = |at: Nanos, n: usize| {
+                    for _ in 0..n {
+                        q.schedule(at, timer(oracle.schedule(at)));
+                    }
+                };
                 match op {
-                    // Two of four operations schedule, so queues grow.
-                    0 => {
-                        let tag = oracle.schedule(now);
-                        q.schedule(now, now, tagged(tag));
-                    }
-                    1 => {
-                        // `delay` may be zero: a "future" event due now.
-                        let tag = oracle.schedule(now + delay);
-                        q.schedule(now, now + delay, tagged(tag));
-                    }
-                    _ => {
-                        prop_assert_eq!(q.len(), oracle.heap.len());
+                    Op::Now(n) => schedule(now, n),
+                    Op::Later(n, delay) => schedule(now + delay, n),
+                    Op::Far(delay) => schedule(now + delay, 1),
+                    Op::Pop => {
                         prop_assert_eq!(q.peek_time(), oracle.heap.peek().map(|Reverse((at, _))| *at));
-                        let want = oracle.heap.pop().map(|Reverse((at, seq))| (at, tagged(seq)));
+                        let want = oracle.heap.pop().map(|Reverse((at, seq))| (at, timer(seq)));
                         let got = q.pop();
                         prop_assert_eq!(got, want);
                         if let Some((at, _)) = got {
@@ -335,9 +357,11 @@ mod tests {
                         }
                     }
                 }
+                prop_assert_eq!(q.len(), oracle.heap.len());
             }
             while let Some(Reverse((at, seq))) = oracle.heap.pop() {
-                prop_assert_eq!(q.pop(), Some((at, tagged(seq))));
+                prop_assert_eq!(q.pop(), Some((at, timer(seq))));
+                prop_assert_eq!(q.len(), oracle.heap.len());
             }
             prop_assert_eq!(q.pop(), None);
         }

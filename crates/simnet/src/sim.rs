@@ -241,7 +241,8 @@ impl Sim {
     }
 
     fn schedule(&mut self, at: Nanos, event: Event) {
-        self.events.schedule(self.now, at, event);
+        debug_assert!(at >= self.now, "events are never scheduled in the past");
+        self.events.schedule(at, event);
     }
 
     /// Adds a node running `alg` with the given emulated bandwidth.

@@ -102,33 +102,52 @@ pub const BATCH_BOUNDS_MSGS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1
 pub const SYSCALL_BOUNDS_BYTES: &[u64] =
     &[64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576];
 
+/// Most buckets a [`Histogram`] keeps: twelve bounds plus the overflow
+/// bucket. The largest bound table, [`BATCH_BOUNDS_MSGS`], fills it.
+const MAX_BUCKETS: usize = 13;
+
+const _: () = assert!(
+    LATENCY_BOUNDS_NANOS.len() < MAX_BUCKETS
+        && BATCH_BOUNDS_MSGS.len() < MAX_BUCKETS
+        && SYSCALL_BOUNDS_BYTES.len() < MAX_BUCKETS,
+    "every bound table fits a histogram's inline buckets"
+);
+
 /// A fixed-bucket histogram with static bounds.
 ///
-/// `buckets[i]` counts samples `<= bounds[i]`; one extra overflow
-/// bucket counts everything larger. Recording is a short linear scan
-/// (bounds are ≤ 12 entries) plus three relaxed adds — no allocation,
-/// no locking, and safely shareable across the engine, sender, and
-/// receiver threads.
+/// `buckets[i]` counts samples `<= bounds[i]`; bucket `bounds.len()`
+/// counts everything larger, and the buckets past it stay unused. The
+/// buckets are an inline array, so a record chases no pointer. Recording
+/// is a short linear scan (bounds are ≤ 12 entries) plus three relaxed
+/// adds — no allocation, no locking, and safely shareable across the
+/// engine, sender, and receiver threads.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: &'static [u64],
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; MAX_BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
 }
 
 impl Histogram {
-    /// Creates a histogram over `bounds`, which must be non-empty and
-    /// strictly increasing.
+    /// Creates a histogram over `bounds`, which must be non-empty, hold at
+    /// most twelve entries and be strictly increasing.
     pub fn new(bounds: &'static [u64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bound");
+        assert!(
+            bounds.len() < MAX_BUCKETS,
+            "histogram takes at most {} bounds",
+            MAX_BUCKETS - 1
+        );
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram bounds must be strictly increasing"
         );
         Self {
             bounds,
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+            // Not `[const { AtomicU64::new(0) }; N]`: loom's atomics are not
+            // const-constructible.
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
@@ -164,8 +183,7 @@ impl Histogram {
         HistogramSnapshot {
             name: name.to_string(),
             bounds: self.bounds.to_vec(),
-            counts: self
-                .buckets
+            counts: self.buckets[..=self.bounds.len()]
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
@@ -178,6 +196,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counter_and_gauge_roundtrip() {
@@ -207,5 +226,74 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         let _ = Histogram::new(&[10, 10]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 12 bounds")]
+    fn histogram_rejects_more_bounds_than_inline_buckets() {
+        let _ = Histogram::new(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13]);
+    }
+
+    /// The histogram the inline one replaced: one heap-allocated bucket
+    /// per bound plus the overflow bucket.
+    struct VecHistogram {
+        bounds: &'static [u64],
+        buckets: Vec<u64>,
+        count: u64,
+        sum: u64,
+    }
+
+    impl VecHistogram {
+        fn new(bounds: &'static [u64]) -> Self {
+            Self {
+                bounds,
+                buckets: vec![0; bounds.len() + 1],
+                count: 0,
+                sum: 0,
+            }
+        }
+
+        fn record(&mut self, value: u64) {
+            let idx = self
+                .bounds
+                .iter()
+                .position(|&b| value <= b)
+                .unwrap_or(self.bounds.len());
+            self.buckets[idx] += 1;
+            self.count += 1;
+            self.sum = self.sum.wrapping_add(value);
+        }
+
+        fn snapshot(&self, name: &str) -> HistogramSnapshot {
+            HistogramSnapshot {
+                name: name.to_string(),
+                bounds: self.bounds.to_vec(),
+                counts: self.buckets.clone(),
+                count: self.count,
+                sum: self.sum,
+            }
+        }
+    }
+
+    proptest! {
+        /// Every bound table snapshots exactly as the `Vec`-bucket
+        /// histogram did: `bounds.len() + 1` counts, same count and sum.
+        #[test]
+        fn inline_buckets_snapshot_like_vec_buckets(
+            values in proptest::collection::vec(
+                prop_oneof![0u64..5_000, 0u64..2_000_000_000, any::<u64>()],
+                0..300,
+            ),
+        ) {
+            for bounds in [LATENCY_BOUNDS_NANOS, BATCH_BOUNDS_MSGS, SYSCALL_BOUNDS_BYTES] {
+                let inline = Histogram::new(bounds);
+                let mut reference = VecHistogram::new(bounds);
+                for &v in &values {
+                    inline.record(v);
+                    reference.record(v);
+                }
+                prop_assert_eq!(inline.snapshot("h"), reference.snapshot("h"));
+            }
+        }
     }
 }
